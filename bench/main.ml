@@ -745,9 +745,9 @@ let join_strategy_ablation () =
    re-derives every depth-(n-1) subtree, and the twin successors make the
    uncached tree exponential while the memo store collapses it.  (b) The
    repeated-determinization workload of pl_validation / pl_equivalence:
-   uncached, every call walks to_afa -> to_nfa -> of_nfa again.  Both are
-   toggled with [Engine.set_caching], same code path otherwise; the stats
-   counters confirm the hits are real. *)
+   uncached, every call walks the vector DFA -> NFA -> DFA chain again.
+   Both are toggled with [Engine.set_caching], same code path otherwise;
+   the stats counters confirm the hits are real. *)
 let engine_cache_ablation () =
   header "Ablation: engine caches — incremental unfolding and automata memoization";
   let deepen sws d () =

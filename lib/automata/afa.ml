@@ -35,11 +35,11 @@ let rec eval_form truth = function
   | Fand (f, g) -> eval_form truth f && eval_form truth g
   | For (f, g) -> eval_form truth f || eval_form truth g
 
-let rec form_states acc = function
-  | Ftrue | Ffalse -> acc
-  | State q -> Iset.add q acc
-  | Fnot f -> form_states acc f
-  | Fand (f, g) | For (f, g) -> form_states (form_states acc f) g
+let rec for_all_states p = function
+  | Ftrue | Ffalse -> true
+  | State q -> p q
+  | Fnot f -> for_all_states p f
+  | Fand (f, g) | For (f, g) -> for_all_states p f && for_all_states p g
 
 type t = {
   num_states : int;
@@ -58,11 +58,8 @@ let create ~alphabet_size ~start ~finals ~delta =
         invalid_arg "Afa.create: row width differs from alphabet";
       Array.iter
         (fun f ->
-          Iset.iter
-            (fun q ->
-              if q < 0 || q >= num_states then
-                invalid_arg "Afa.create: state out of range in formula")
-            (form_states Iset.empty f))
+          if not (for_all_states (fun q -> q >= 0 && q < num_states) f) then
+            invalid_arg "Afa.create: state out of range in formula")
         row)
     delta;
   if start < 0 || start >= num_states then invalid_arg "Afa.create: bad start";
@@ -97,13 +94,21 @@ let accepts a word =
 let reverse_vector_dfa a =
   let module Bs = Repr.Bitset in
   let module H = Hashtbl.Make (Repr.Bitset) in
-  let step set s =
-    let truth q = Bs.mem q set in
-    let next = ref Bs.empty in
-    for q = 0 to a.num_states - 1 do
-      if eval_form truth a.delta.(q).(s) then next := Bs.add q !next
-    done;
-    !next
+  (* Per symbol, only the cells that can be true: a constant-false cell
+     never sets its state's bit.  The vector being stepped is unpacked
+     once into [vec], which every cell's condition reads. *)
+  let cols =
+    Array.init a.alphabet_size (fun s ->
+        List.init a.num_states (fun q -> (q, a.delta.(q).(s)))
+        |> List.filter (function _, Ffalse -> false | _ -> true)
+        |> Array.of_list)
+  in
+  let vec = Array.make a.num_states false in
+  let truth q = vec.(q) in
+  let acc = Bs.acc_create ~capacity:a.num_states () in
+  let step s =
+    Array.iter (fun (q, f) -> if eval_form truth f then Bs.acc_add acc q) cols.(s);
+    Bs.acc_finish acc
   in
   let start_set = Bs.of_list (Iset.elements a.finals) in
   let ids = H.create 256 in
@@ -116,9 +121,11 @@ let reverse_vector_dfa a =
   while not (Queue.is_empty queue) do
     let set, i = Queue.pop queue in
     if Bs.mem a.start set then finals := i :: !finals;
+    Array.fill vec 0 a.num_states false;
+    Bs.iter (fun q -> vec.(q) <- true) set;
     let row =
       Array.init a.alphabet_size (fun s ->
-          let set' = step set s in
+          let set' = step s in
           match H.find_opt ids set' with
           | Some j -> j
           | None ->

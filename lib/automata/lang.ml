@@ -150,11 +150,12 @@ let antichain_contains_cex ~limits:lim ?tick ~sup ~sub () =
                  frontier was cut so a drained queue is not a verdict. *)
               depth_capped := true
           | _ ->
-              let p_single = Iset.singleton p in
               for a = 0 to k - 1 do
-                let s' = Nfa.step sup s a in
-                let ps' = Nfa.step sub p_single a in
-                Iset.iter (fun p' -> insert p' s' (a :: rev_word) (level + 1)) ps'
+                let ps' = Nfa.post sub p a in
+                if not (Iset.is_empty ps') then begin
+                  let s' = Nfa.step sup s a in
+                  Iset.iter (fun p' -> insert p' s' (a :: rev_word) (level + 1)) ps'
+                end
               done
         end
       done;

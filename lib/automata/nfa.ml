@@ -32,12 +32,25 @@ let wrap ~num_states ~alphabet_size ~starts ~finals ~trans ~eps =
     closures = Array.make num_states None;
   }
 
+(* [add_state single cells k q] adds [q] to cell [k].  A cell's first
+   state is its shared singleton from [single] (sets are immutable), so
+   the common one-state cell costs no set of its own. *)
+let add_state single cells k q =
+  let s = cells.(k) in
+  cells.(k) <-
+    (if Iset.is_empty s then begin
+       if Iset.is_empty single.(q) then single.(q) <- Iset.singleton q;
+       single.(q)
+     end
+     else Iset.add q s)
+
 let create ~num_states ~alphabet_size ~starts ~finals ~edges ~eps_edges =
   let check q =
     if q < 0 || q >= num_states then invalid_arg "Nfa.create: state out of range"
   in
   List.iter check starts;
   List.iter check finals;
+  let single = Array.make num_states Iset.empty in
   let trans = Array.make (num_states * alphabet_size) Iset.empty in
   List.iter
     (fun (p, a, q) ->
@@ -45,15 +58,14 @@ let create ~num_states ~alphabet_size ~starts ~finals ~edges ~eps_edges =
       check q;
       if a < 0 || a >= alphabet_size then
         invalid_arg "Nfa.create: symbol out of range";
-      let k = (p * alphabet_size) + a in
-      trans.(k) <- Iset.add q trans.(k))
+      add_state single trans ((p * alphabet_size) + a) q)
     edges;
   let eps = Array.make num_states Iset.empty in
   List.iter
     (fun (p, q) ->
       check p;
       check q;
-      eps.(p) <- Iset.add q eps.(p))
+      add_state single eps p q)
     eps_edges;
   wrap ~num_states ~alphabet_size ~starts:(Iset.of_list starts)
     ~finals:(Iset.of_list finals) ~trans ~eps
@@ -125,14 +137,30 @@ let warm_closures n =
     ignore (closure_of_state n q)
   done
 
+(* Results are built in one accumulator: each successor's memoized
+   closure is ORed in place, so a step allocates its result set once
+   rather than once per source state, and not at all when the result is
+   one state's closure or empty. *)
+let add_closures acc n set =
+  Iset.iter (fun q -> Iset.acc_union acc (closure_of_state n q)) set
+
 let eps_closure n set =
-  Iset.fold (fun q acc -> Iset.union acc (closure_of_state n q)) set Iset.empty
+  if Iset.is_empty set then Iset.empty
+  else begin
+    let acc = Iset.acc_create ~capacity:n.num_states () in
+    add_closures acc n set;
+    Iset.acc_finish acc
+  end
+
+let post n p a = eps_closure n (successors n p a)
 
 let step n set a =
-  let post =
-    Iset.fold (fun p acc -> Iset.union acc (successors n p a)) set Iset.empty
-  in
-  eps_closure n post
+  if Iset.is_empty set then Iset.empty
+  else begin
+    let acc = Iset.acc_create ~capacity:n.num_states () in
+    Iset.iter (fun p -> add_closures acc n (successors n p a)) set;
+    Iset.acc_finish acc
+  end
 
 let accepts n word =
   let final =
@@ -142,20 +170,21 @@ let accepts n word =
 
 (* Emptiness: BFS over all transitions (epsilon included). *)
 let is_empty n =
+  let acc = Iset.acc_create ~capacity:n.num_states () in
   let rec go frontier seen =
     if Iset.is_empty frontier then true
     else if Iset.intersects frontier n.finals then false
-    else
-      let next = ref Iset.empty in
+    else begin
       Iset.iter
         (fun p ->
-          next := Iset.union !next n.eps.(p);
+          Iset.acc_union acc n.eps.(p);
           for a = 0 to n.alphabet_size - 1 do
-            next := Iset.union !next (successors n p a)
+            Iset.acc_union acc (successors n p a)
           done)
         frontier;
-      let fresh = Iset.diff !next seen in
+      let fresh = Iset.diff (Iset.acc_finish acc) seen in
       go fresh (Iset.union seen fresh)
+    end
   in
   go n.starts n.starts
 
@@ -284,20 +313,15 @@ let of_regex ~alphabet_size r =
 
 let reverse n =
   let a_sz = n.alphabet_size in
+  let single = Array.make n.num_states Iset.empty in
   let trans = Array.make (n.num_states * a_sz) Iset.empty in
   Array.iteri
     (fun i qs ->
       let p = i / a_sz and a = i mod a_sz in
-      Iset.iter
-        (fun q ->
-          let k = (q * a_sz) + a in
-          trans.(k) <- Iset.add p trans.(k))
-        qs)
+      Iset.iter (fun q -> add_state single trans ((q * a_sz) + a) p) qs)
     n.trans;
   let eps = Array.make n.num_states Iset.empty in
-  Array.iteri
-    (fun p qs -> Iset.iter (fun q -> eps.(q) <- Iset.add p eps.(q)) qs)
-    n.eps;
+  Array.iteri (fun p qs -> Iset.iter (fun q -> add_state single eps q p) qs) n.eps;
   wrap ~num_states:n.num_states ~alphabet_size:a_sz ~starts:n.finals
     ~finals:n.starts ~trans ~eps
 

@@ -46,7 +46,14 @@ val closure_of_state : t -> int -> Iset.t
 val warm_closures : t -> unit
 
 val eps_closure : t -> Iset.t -> Iset.t
+
+(** [step n s a]: the eps-closed [a]-successors of the set [s]. *)
 val step : t -> Iset.t -> int -> Iset.t
+
+(** [post n p a] is [step n (Iset.singleton p) a]: the eps-closed
+    [a]-successors of the one state [p]. *)
+val post : t -> int -> int -> Iset.t
+
 val accepts : t -> int list -> bool
 val is_empty : t -> bool
 

@@ -409,8 +409,18 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
      arm minimizes everything up front and compares DFAs; the lazy arm
      keeps the goal an NFA — its closure memo is warmed before the
      parallel rounds so worker domains only read it — and runs the
-     antichain product per plan. *)
-  let matches =
+     antichain product per plan.
+
+     Every candidate combines at most two base chains, so the lazy arm
+     memoizes each chain's NFA (and, for [Minus] operands, its minimized
+     DFA: same language, smaller difference product) for the rest of the
+     call instead of rebuilding both operands per candidate.  The memo
+     fills on first use: a search whose budget trips after a plan or two
+     builds only those plans' chains.  [prefill] forces a plan's entries;
+     the search calls it sequentially on a whole round before handing the
+     round to the pool, so worker domains only read the memo (and the
+     chains' warmed closures). *)
+  let matches, prefill =
     match strategy with
     | `Eager ->
       let env =
@@ -419,21 +429,49 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
           components
       in
       let goal_dfa = Dfa.minimize (Dfa.of_nfa goal) in
-      fun plan ->
-        (try Dfa.equivalent (plan_language ~env ~alphabet_size plan) goal_dfa
-         with Not_found -> false)
+      ( (fun plan ->
+          try Dfa.equivalent (plan_language ~env ~alphabet_size plan) goal_dfa
+          with Not_found -> false),
+        ignore )
     | `Antichain ->
       let env = List.map (fun (n, c) -> (n, minimal_prefix_nfa c)) components in
       Nfa.warm_closures goal;
       List.iter (fun (_, n) -> Nfa.warm_closures n) env;
-      fun plan ->
-        (try
-           match
-             Lang.equivalent (plan_language_nfa ~env ~alphabet_size plan) goal
-           with
-           | Ok b -> b
-           | Error _ -> assert false (* no limits *)
-         with Not_found -> false)
+      let memo tbl build plan =
+        match Hashtbl.find_opt tbl plan with
+        | Some v -> v
+        | None ->
+          let v = build plan in
+          Hashtbl.add tbl plan v;
+          v
+      in
+      let nfas = Hashtbl.create 16 and dfas = Hashtbl.create 16 in
+      let chain_nfa =
+        memo nfas (fun c ->
+            let n = plan_language_nfa ~env ~alphabet_size c in
+            Nfa.warm_closures n;
+            n)
+      in
+      let chain_dfa c =
+        memo dfas (fun c -> Dfa.minimize (Dfa.of_nfa (chain_nfa c))) c
+      in
+      (* [plan_language_nfa] on a candidate, with its chains memoized. *)
+      let plan_nfa = function
+        | Union (a, b) -> Nfa.union (chain_nfa a) (chain_nfa b)
+        | Inter (a, b) -> Nfa.inter (chain_nfa a) (chain_nfa b)
+        | Minus (a, b) -> Dfa.to_nfa (Dfa.diff (chain_dfa a) (chain_dfa b))
+        | (Invoke _ | Chain _) as c -> chain_nfa c
+      in
+      ( (fun plan ->
+          try
+            match Lang.equivalent (plan_nfa plan) goal with
+            | Ok b -> b
+            | Error _ -> assert false (* no limits *)
+          with Not_found -> false),
+        function
+        | Union (a, b) | Inter (a, b) -> ignore (chain_nfa a, chain_nfa b)
+        | Minus (a, b) -> ignore (chain_dfa a, chain_dfa b)
+        | (Invoke _ | Chain _) as c -> ignore (chain_nfa c) )
   in
   (* Round-based search: the budget is checked before each round and every
      plan of a round is ticked and tested — on the domain pool when several
@@ -466,6 +504,7 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
       | Error e -> No_mediator_within_bound e
       | Ok () ->
         let batch, rest = split_round round_size plans in
+        if round_size > 1 then List.iter prefill batch;
         let results =
           Par.Pool.parallel_list_map
             (fun plan ->

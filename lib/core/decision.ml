@@ -25,7 +25,6 @@
 module R = Relational
 module Prop = Proplogic.Prop
 module Sat = Proplogic.Sat
-module Afa = Automata.Afa
 module Dfa = Automata.Dfa
 
 type 'w outcome =
@@ -187,6 +186,11 @@ let run_equiv_outcome = function
   | Inequivalent _ -> Obs.Trace.Decided false
   | Equiv_exhausted e -> Obs.Trace.Tripped e.Engine.limit
 
+(* A shortest accepted word: [Afa.shortest_word] of the service's AFA,
+   read off the memoized vector DFA of its reversed language. *)
+let shortest_word ?stats sws =
+  Option.map List.rev (Dfa.shortest_word (Sws_pl.vector_dfa ?stats sws))
+
 (* Non-emptiness: is some input sequence answered with [true]?  Decisive
    whatever the budget, so the cached answer carries no budget tag. *)
 let pl_non_emptiness ?stats sws =
@@ -195,8 +199,7 @@ let pl_non_emptiness ?stats sws =
     ~outcome:run_outcome ~cacheable:cacheable_outcome
   @@ fun () ->
   Engine.run ?stats ~name:"pl_non_emptiness" ~outcome:run_outcome @@ fun () ->
-  let afa = Sws_pl.to_afa ?stats sws in
-  match Afa.shortest_word afa with
+  match shortest_word ?stats sws with
   | Some w -> Yes (decode_word sws w)
   | None -> No
 
@@ -218,8 +221,7 @@ let pl_validation ?stats ?(strategy = `Antichain) ?budget sws ~output =
   @@ fun () ->
   Engine.run ?stats ~name:"pl_validation" ~outcome:run_outcome @@ fun () ->
   if output then begin
-    let afa = Sws_pl.to_afa ?stats sws in
-    match Afa.shortest_word afa with
+    match shortest_word ?stats sws with
     | Some w -> Yes (decode_word sws w)
     | None -> No
   end

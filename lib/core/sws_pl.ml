@@ -24,11 +24,15 @@ let act_var i = Printf.sprintf "act%d" (i + 1)
 
 type query = Prop.t
 
-(* The to_afa -> to_nfa -> of_nfa chain is deterministic in the (immutable)
+(* The vector DFA -> NFA -> DFA chain is deterministic in the (immutable)
    service, so each service value carries one lazily filled slot per stage:
-   pl_validation, pl_equivalence and Compose.pl_language_nfa stop paying
-   for the same exponential constructions twice.  [Engine.set_caching
-   false] bypasses the slots (reads and writes) for ablations.
+   pl_non_emptiness, pl_validation, pl_equivalence and
+   Compose.pl_language_nfa stop paying for the same exponential
+   constructions twice.  The AFA itself is transient: it is built only to
+   explore its reachable truth vectors, and its formula trees (tens of KB
+   per service) are dropped as soon as the vector DFA exists.
+   [Engine.set_caching false] bypasses the slots (reads and writes) for
+   ablations.
 
    The slots live in a record *shared by content*: [make] fetches the
    record from the process-lifetime store (cache class "automata") keyed
@@ -39,9 +43,11 @@ type query = Prop.t
    discipline, DESIGN.md §4h) and the first finished build wins. *)
 type automata_cache = {
   mu : Mutex.t;
-  mutable afa : Automata.Afa.t option;
+  key : Cache.Store.Key.t option; (* its store key; [None] when private *)
+  mutable vdfa : Automata.Dfa.t option;
   mutable nfa : Automata.Nfa.t option;
   mutable dfa : Automata.Dfa.t option;
+  mutable bytes : int; (* approximate resident size of the filled stages *)
 }
 
 type t = {
@@ -57,16 +63,19 @@ let fresh_stamp () =
   incr next_stamp;
   !next_stamp
 
-let fresh_cache () =
-  { mu = Mutex.create (); afa = None; nfa = None; dfa = None }
+(* The record itself with its mutex, before any stage is filled. *)
+let record_bytes = 128
+
+let fresh_cache key =
+  { mu = Mutex.create (); key; vdfa = None; nfa = None; dfa = None;
+    bytes = record_bytes }
 
 module Chain_value = struct
   type t = automata_cache
 
-  (* The record is registered before any stage is built, so its true
-     resident size is unknowable at [add] time; charge a flat estimate
-     (the entry cap, not the byte cap, is the effective bound here). *)
-  let weight _ = 1024
+  (* Re-weighed each time a stage fills (see [cached]), so the class's
+     byte gauge and byte cap see the chain's real size. *)
+  let weight c = c.bytes
 end
 
 module Chain_store = Cache.Store.Make (Chain_value)
@@ -80,13 +89,13 @@ let canonical_repr ~input_vars ~def =
   Marshal.to_string (input_vars, def) [ Marshal.No_sharing ]
 
 let shared_cache ~input_vars ~def =
-  if not (Engine.caching_enabled ()) then fresh_cache ()
+  if not (Engine.caching_enabled ()) then fresh_cache None
   else begin
     let key = Cache.Store.Key.of_string (canonical_repr ~input_vars ~def) in
     match Chain_store.find chains key with
     | Some c -> c
     | None ->
-      let c = fresh_cache () in
+      let c = fresh_cache (Some key) in
       (* Two domains may race to register equal services; both records
          are valid (the slots converge on equal automata), so losing the
          race only costs the loser its private record. *)
@@ -210,6 +219,56 @@ let accepts_word t word =
 (* Translation to alternating automata                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* An internal state's synthesis query as an AFA condition builder: each
+   [act_var i] is resolved to child [i] once per state, and the result maps
+   one cell's child literals to the cell's condition.  The connectives fold
+   constants, which keeps the truth value of every condition under every
+   vector. *)
+let synth_form acts synth =
+  let f_not = function
+    | Afa.Ftrue -> Afa.Ffalse
+    | Afa.Ffalse -> Afa.Ftrue
+    | f -> Afa.Fnot f
+  in
+  let f_and a b =
+    match (a, b) with
+    | Afa.Ffalse, _ | _, Afa.Ffalse -> Afa.Ffalse
+    | Afa.Ftrue, x | x, Afa.Ftrue -> x
+    | _ -> Afa.Fand (a, b)
+  in
+  let f_or a b =
+    match (a, b) with
+    | Afa.Ftrue, _ | _, Afa.Ftrue -> Afa.Ftrue
+    | Afa.Ffalse, x | x, Afa.Ffalse -> x
+    | _ -> Afa.For (a, b)
+  in
+  let rec go = function
+    | Prop.True -> fun _ -> Afa.Ftrue
+    | Prop.False -> fun _ -> Afa.Ffalse
+    | Prop.Var x -> (
+      match List.assoc_opt x acts with
+      | Some i -> fun lits -> lits.(i)
+      | None -> fun _ -> Afa.Ffalse (* unreachable: checked by [make] *))
+    | Prop.Not f ->
+      let f = go f in
+      fun l -> f_not (f l)
+    | Prop.And (f, g) ->
+      let f = go f and g = go g in
+      fun l -> f_and (f l) (g l)
+    | Prop.Or (f, g) ->
+      let f = go f and g = go g in
+      fun l -> f_or (f l) (g l)
+    | Prop.Implies (f, g) ->
+      let f = go f and g = go g in
+      fun l -> f_or (f_not (f l)) (g l)
+    | Prop.Iff (f, g) ->
+      let f = go f and g = go g in
+      fun l ->
+        let a = f l and b = g l in
+        f_or (f_and a b) (f_and (f_not a) (f_not b))
+  in
+  go synth
+
 (* The AFA of the service's language (sequences with output true).  States
    are (SWS state, message bit) pairs: the message bit is the only extra
    run-time state a node carries.  From an alive pair on symbol a:
@@ -222,63 +281,77 @@ let accepts_word t word =
    Dead pairs (non-root, message false) have constant-false transitions, and
    no state is AFA-final: a node whose timestamp exceeds the input length
    gets the empty action (rule (1)), i.e. value false on the empty suffix.
+   So a dead pair is false in every truth vector.  The start state is never
+   a successor (Definition 2.1, checked by [Sws_def.make]), so a child whose
+   message is false names a dead pair: its literal is the constant false.
    The start pair is (q0, false): the root proceeds despite its empty
    message when the input is nonempty. *)
-let build_afa t =
-  let states = Sws_def.states t.def in
+let to_afa t =
+  let states = Array.of_list (Sws_def.states t.def) in
   let index =
     let tbl = Hashtbl.create 16 in
-    List.iteri (fun i q -> Hashtbl.add tbl q i) states;
+    Array.iteri (fun i q -> Hashtbl.add tbl q i) states;
     fun q -> Hashtbl.find tbl q
   in
-  let pair_id q m = (2 * index q) + if m then 1 else 0 in
-  let num = 2 * List.length states in
   let alphabet_size = alphabet_size t in
   let start_name = Sws_def.start t.def in
-  let rec form_of_prop ~env = function
-    (* env maps a variable to an AFA literal *)
-    | Prop.True -> Afa.Ftrue
-    | Prop.False -> Afa.Ffalse
-    | Prop.Var x -> env x
-    | Prop.Not f -> Afa.Fnot (form_of_prop ~env f)
-    | Prop.And (f, g) -> Afa.Fand (form_of_prop ~env f, form_of_prop ~env g)
-    | Prop.Or (f, g) -> Afa.For (form_of_prop ~env f, form_of_prop ~env g)
-    | Prop.Implies (f, g) ->
-      Afa.For (Afa.Fnot (form_of_prop ~env f), form_of_prop ~env g)
-    | Prop.Iff (f, g) ->
-      let a = form_of_prop ~env f and b = form_of_prop ~env g in
-      Afa.For (Afa.Fand (a, b), Afa.Fand (Afa.Fnot a, Afa.Fnot b))
+  (* Per-symbol run environments, without and with the message bit:
+     computed once, shared by every state's row. *)
+  let envs =
+    Array.init alphabet_size (fun s ->
+        let a = assignment_of_symbol t s in
+        (a, Sem.env a true))
+  in
+  let row q m =
+    let env_of s = if m then snd envs.(s) else fst envs.(s) in
+    let rule = Sws_def.rule t.def q in
+    match rule.Sws_def.succs with
+    | [] ->
+      Array.init alphabet_size (fun s ->
+          if Prop.eval (env_of s) rule.Sws_def.synth then Afa.Ftrue
+          else Afa.Ffalse)
+    | succs ->
+      let literal (q_i, phi_i) =
+        let alive = Afa.State ((2 * index q_i) + 1) in
+        fun env -> if Prop.eval env phi_i then alive else Afa.Ffalse
+      in
+      let children = Array.of_list (List.map literal succs) in
+      let synth =
+        synth_form (List.mapi (fun i _ -> (act_var i, i)) succs) rule.Sws_def.synth
+      in
+      Array.init alphabet_size (fun s ->
+          let env = env_of s in
+          synth (Array.map (fun child -> child env) children))
   in
   let delta =
-    Array.init num (fun code ->
-        let q = List.nth states (code / 2) in
+    Array.init
+      (2 * Array.length states)
+      (fun code ->
+        let q = states.(code / 2) in
         let m = code mod 2 = 1 in
-        let alive = m || String.equal q start_name in
-        Array.init alphabet_size (fun s ->
-            if not alive then Afa.Ffalse
-            else begin
-              let a = assignment_of_symbol t s in
-              let env_bool = Sem.env a m in
-              let rule = Sws_def.rule t.def q in
-              match rule.Sws_def.succs with
-              | [] ->
-                if Prop.eval env_bool rule.Sws_def.synth then Afa.Ftrue
-                else Afa.Ffalse
-              | succs ->
-                let child i (q_i, phi_i) =
-                  let m_i = Prop.eval env_bool phi_i in
-                  (act_var i, Afa.State (pair_id q_i m_i))
-                in
-                let mapping = List.mapi child succs in
-                let env x =
-                  match List.assoc_opt x mapping with
-                  | Some f -> f
-                  | None -> Afa.Ffalse (* unreachable: checked by [make] *)
-                in
-                form_of_prop ~env rule.Sws_def.synth
-            end))
+        if m || String.equal q start_name then row q m
+        else Array.make alphabet_size Afa.Ffalse)
   in
-  Afa.create ~alphabet_size ~start:(pair_id start_name false) ~finals:[] ~delta
+  Afa.create ~alphabet_size ~start:(2 * index start_name) ~finals:[] ~delta
+
+(* Approximate resident bytes of the chain's automata, for the store's
+   byte accounting.  A DFA holds one int row per state; an NFA holds per
+   state a transition row, an epsilon and a closure slot, and about two
+   bit sets (its shared successor singleton and, once queried, its
+   closure). *)
+let word_bytes w = w * (Sys.word_size / 8)
+
+let dfa_bytes d =
+  word_bytes (Automata.Dfa.num_states d * (Automata.Dfa.alphabet_size d + 2))
+
+let nfa_bytes n =
+  let q = Automata.Nfa.num_states n and k = Automata.Nfa.alphabet_size n in
+  let set_words = 5 + (q / Sys.int_size) in
+  word_bytes (q * (k + 3 + (2 * set_words)))
+
+let chain_bytes c =
+  let opt f = function Some v -> f v | None -> 0 in
+  record_bytes + opt dfa_bytes c.vdfa + opt nfa_bytes c.nfa + opt dfa_bytes c.dfa
 
 (* One memoized stage of the automata chain.  [name] labels the build in
    traces: each uncached construction appears as one span and feeds the
@@ -287,7 +360,9 @@ let build_afa t =
    itself runs outside the lock (it recurses into earlier stages and
    into Symtab-locking automata code), and when two domains race, the
    first finished build wins — both build the same automaton, so the
-   loser only wastes its own work. *)
+   loser only wastes its own work.  A filled stage re-adds the record to
+   its store under its new weight (outside the record's mutex: the
+   store's lock is a leaf lock). *)
 let cached ?(stats = Engine.Stats.global) ~name ~get ~set build t =
   if not (Engine.caching_enabled ()) then
     Obs.Trace.span name (fun () -> build t)
@@ -303,29 +378,36 @@ let cached ?(stats = Engine.Stats.global) ~name ~get ~set build t =
       Engine.Stats.automata_miss stats;
       let v = Obs.Trace.span name (fun () -> build t) in
       Mutex.lock t.cache.mu;
-      let v =
+      let v, filled =
         match get t.cache with
         | Some w ->
-          w (* another domain finished first; converge on its value *)
+          (w, false) (* another domain finished first; converge on its value *)
         | None ->
           set t.cache (Some v);
-          v
+          t.cache.bytes <- chain_bytes t.cache;
+          (v, true)
       in
       Mutex.unlock t.cache.mu;
+      (match t.cache.key with
+      | Some key when filled -> Chain_store.add chains key t.cache
+      | _ -> ());
       v
   end
 
-let to_afa ?stats t =
-  cached ?stats ~name:"afa_build"
-    ~get:(fun c -> c.afa)
-    ~set:(fun c v -> c.afa <- v)
-    build_afa t
+let vector_dfa ?stats t =
+  cached ?stats ~name:"vdfa_build"
+    ~get:(fun c -> c.vdfa)
+    ~set:(fun c v -> c.vdfa <- v)
+    (fun t -> Automata.Afa.reverse_vector_dfa (to_afa t))
+    t
 
+(* [Afa.to_nfa] of the service's AFA, read off the cached vector DFA. *)
 let language_nfa ?stats t =
   cached ?stats ~name:"nfa_build"
     ~get:(fun c -> c.nfa)
     ~set:(fun c v -> c.nfa <- v)
-    (fun t -> Automata.Afa.to_nfa (to_afa ?stats t))
+    (fun t ->
+      Automata.Nfa.reverse (Automata.Dfa.to_nfa (vector_dfa ?stats t)))
     t
 
 let language_dfa ?stats t =
@@ -337,10 +419,12 @@ let language_dfa ?stats t =
 
 let clear_cache t =
   Mutex.lock t.cache.mu;
-  t.cache.afa <- None;
+  t.cache.vdfa <- None;
   t.cache.nfa <- None;
   t.cache.dfa <- None;
-  Mutex.unlock t.cache.mu
+  t.cache.bytes <- record_bytes;
+  Mutex.unlock t.cache.mu;
+  Option.iter (fun key -> Chain_store.add chains key t.cache) t.cache.key
 
 (* ------------------------------------------------------------------ *)
 (* Nonrecursive unfolding to a single formula                          *)

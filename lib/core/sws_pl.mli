@@ -80,18 +80,26 @@ val accepts_word : t -> int list -> bool
 (** The alternating automaton of the service's language (sequences with
     output true): states are (SWS state, message bit) pairs; see the
     implementation for the construction.  Drives the PSPACE procedures of
-    Theorem 4.1(3).
+    Theorem 4.1(3).  Built afresh on every call: the memoized chain keeps
+    only its vector DFA. *)
+val to_afa : t -> Automata.Afa.t
+
+(** [Afa.reverse_vector_dfa] of {!to_afa}: the DFA of the reversed
+    language over reachable truth vectors.  [List.rev] of its
+    [Dfa.shortest_word] is [Afa.shortest_word (to_afa t)].
 
     Memoized per service *content* (together with {!language_nfa} and
-    {!language_dfa}, forming the to_afa → to_nfa → of_nfa chain): the
+    {!language_dfa}, forming the vector DFA → NFA → DFA chain): the
     chain record lives in the process-lifetime store (cache class
     ["automata"]) keyed on {!canonical_repr}, so equal services built by
-    different requests or server sessions share one chain.  Bypassed
+    different requests or server sessions share one chain, and is
+    re-weighed in that store each time a stage fills.  Bypassed
     entirely under [Engine.set_caching false]; cache traffic is counted
     into [stats] (default: the global sink). *)
-val to_afa : ?stats:Engine.Stats.t -> t -> Automata.Afa.t
+val vector_dfa : ?stats:Engine.Stats.t -> t -> Automata.Dfa.t
 
-(** [Afa.to_nfa] of {!to_afa}, memoized per service. *)
+(** [Nfa.reverse (Dfa.to_nfa (vector_dfa t))] — exactly
+    [Afa.to_nfa (to_afa t)] — memoized per service. *)
 val language_nfa : ?stats:Engine.Stats.t -> t -> Automata.Nfa.t
 
 (** [Dfa.of_nfa] of {!language_nfa}, memoized per service. *)

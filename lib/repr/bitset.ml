@@ -169,15 +169,26 @@ let cardinal s =
   in
   Array.fold_left (fun acc w -> acc + pop w) 0 s.words
 
+(* Index of the single set bit of [b], in constant time: the powers
+   2^0 .. 2^61 have pairwise distinct residues mod 67 (2 is a primitive
+   root mod the prime 67), and bit [word_bits - 1] is the sign bit, so
+   [b] is negative exactly when that bit is the one set. *)
+let bit_of_residue =
+  let t = Array.make 67 0 in
+  for i = 0 to word_bits - 2 do
+    t.((1 lsl i) mod 67) <- i
+  done;
+  t
+
+let bit_index b = if b < 0 then word_bits - 1 else bit_of_residue.(b mod 67)
+
 let fold f s init =
   let acc = ref init in
   for j = 0 to Array.length s.words - 1 do
     let w = ref s.words.(j) in
     let base = j * word_bits in
     while !w <> 0 do
-      let b = !w land - !w in
-      let rec log2 b i = if b = 1 then i else log2 (b lsr 1) (i + 1) in
-      acc := f (base + log2 b 0) !acc;
+      acc := f (base + bit_index (!w land - !w)) !acc;
       w := !w land (!w - 1)
     done
   done;
@@ -216,8 +227,90 @@ let choose_opt s =
   else
     let rec first j = if s.words.(j) <> 0 then j else first (j + 1) in
     let j = first 0 in
-    let rec log2 w i = if w land 1 = 1 then i else log2 (w lsr 1) (i + 1) in
-    Some ((j * word_bits) + log2 s.words.(j) 0)
+    let w = s.words.(j) in
+    Some ((j * word_bits) + bit_index (w land -w))
+
+(* Accumulators: one scratch word array that many ORs and bit sets write
+   into in place, turned into a single normalized set at the end — so a
+   union of n sets or a set of n bits costs one result allocation instead
+   of one copy per operand.  A lone operand is not copied at all: it waits
+   in [pending] and comes back as is unless something joins it.  The
+   scratch array is allocated on first use, [capacity] words or more;
+   [hi] bounds the words written to it since the last [acc_finish], which
+   clears only that prefix. *)
+type acc = {
+  capacity : int;
+  mutable scratch : int array;
+  mutable hi : int;
+  mutable pending : t;
+}
+
+let acc_create ?(capacity = 0) () =
+  { capacity = (max 0 capacity / word_bits) + 1; scratch = [||]; hi = 0;
+    pending = empty }
+
+let reserve acc n =
+  let len = Array.length acc.scratch in
+  if n > len then begin
+    let w = Array.make (max n (max acc.capacity (2 * len))) 0 in
+    Array.blit acc.scratch 0 w 0 acc.hi;
+    acc.scratch <- w
+  end;
+  if n > acc.hi then acc.hi <- n
+
+let or_into acc s =
+  let n = Array.length s.words in
+  reserve acc n;
+  let w = acc.scratch in
+  for j = 0 to n - 1 do
+    w.(j) <- w.(j) lor s.words.(j)
+  done
+
+let flush acc =
+  if not (is_empty acc.pending) then begin
+    or_into acc acc.pending;
+    acc.pending <- empty
+  end
+
+let acc_add acc i =
+  check_elt "acc_add" i;
+  flush acc;
+  let j = i / word_bits in
+  reserve acc (j + 1);
+  acc.scratch.(j) <- acc.scratch.(j) lor (1 lsl (i mod word_bits))
+
+let acc_union acc s =
+  if is_empty s then ()
+  else if acc.hi = 0 && is_empty acc.pending then acc.pending <- s
+  else begin
+    flush acc;
+    or_into acc s
+  end
+
+let acc_finish acc =
+  if acc.hi = 0 then begin
+    let s = acc.pending in
+    acc.pending <- empty;
+    s
+  end
+  else begin
+    flush acc;
+    let w = acc.scratch in
+    let n = ref acc.hi in
+    while !n > 0 && w.(!n - 1) = 0 do
+      decr n
+    done;
+    let s =
+      if !n = 0 then empty
+      else begin
+        Atomic.incr alloc_count;
+        { words = Array.sub w 0 !n; hash = -1 }
+      end
+    in
+    Array.fill w 0 acc.hi 0;
+    acc.hi <- 0;
+    s
+  end
 
 let pp ppf s =
   Format.fprintf ppf "{%s}"

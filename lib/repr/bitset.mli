@@ -51,6 +51,27 @@ val exists : (int -> bool) -> t -> bool
 val for_all : (int -> bool) -> t -> bool
 val choose_opt : t -> int option
 
+(** {1 Accumulators}
+
+    A mutable scratch buffer for building one set out of many ORs and
+    single bits: every [acc_union]/[acc_add] writes in place, and
+    [acc_finish] materializes the normalized result with one allocation
+    (none when a single set was added: that set itself comes back) and
+    resets the buffer for reuse.  An accumulator belongs to the call
+    that created it; it is never shared between domains. *)
+
+type acc
+
+(** [capacity] is a hint: the largest element expected (the buffer
+    grows on demand either way). *)
+val acc_create : ?capacity:int -> unit -> acc
+
+val acc_add : acc -> int -> unit
+val acc_union : acc -> t -> unit
+
+(** The accumulated set, normalized; the accumulator is empty afterwards. *)
+val acc_finish : acc -> t
+
 (** Process-wide count of word arrays materialized so far — a churn gauge
     for ablation reports, not part of any set's value. *)
 val allocations : unit -> int

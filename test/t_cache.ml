@@ -296,6 +296,29 @@ let test_content_sharing () =
   check "content-equal service is a hit" true (d.G.hits >= 1);
   check "and the served answer matches" true (r1 = r2)
 
+let test_automata_bytes_weighed () =
+  (* a chain record is re-weighed as its stages fill, so the class's
+     byte gauge sees the automata, not the flat 1024 B per record the
+     store once charged *)
+  Engine.cache_clear_all ();
+  let sws =
+    Reductions.sws_of_afa
+      (Afa.of_nfa (Nfa.of_regex ~alphabet_size:2 (Regex.parse "(a|b)*a(a|b)")))
+  in
+  let automata () =
+    Option.value ~default:G.zero
+      (List.assoc_opt "automata" (Cache.Store.snapshot ()))
+  in
+  check_int "one chain record" 1 (automata ()).G.entries;
+  let flat = 1024 + 64 + String.length (Sws_pl.canonical_repr sws) in
+  ignore (Sws_pl.language_dfa sws);
+  let filled = automata () in
+  check_int "still one chain record" 1 filled.G.entries;
+  check "byte gauge exceeds the flat estimate" true (filled.G.bytes > flat);
+  (* clearing the slots gives the bytes back *)
+  Sws_pl.clear_cache sws;
+  check "cleared record is light again" true ((automata ()).G.bytes < flat)
+
 (* ------------------------------------------------------------------ *)
 (* Cache-on = cache-off, and jobs-1 = jobs-4, on random workloads        *)
 (* ------------------------------------------------------------------ *)
@@ -629,4 +652,6 @@ let suite =
     Alcotest.test_case "cache_cap config re-caps the stores" `Quick
       test_cache_cap_config;
     QCheck_alcotest.to_alcotest prop_interleavings;
+    Alcotest.test_case "automata records weighed by their stages" `Quick
+      test_automata_bytes_weighed;
   ]

@@ -146,6 +146,126 @@ let test_compose_mdtb () =
     check "plan space ran dry" true (e.Sws.Engine.limit = `Candidates)
   | Compose.Found _ -> Alcotest.fail "three invocations cannot fit in bound 2"
 
+(* [compose_mdtb]'s candidate plans, in its order: chains of length <=
+   [bound], then each boolean combination of two chains. *)
+let mdtb_candidates ~bound names =
+  let rec of_length l =
+    if l = 0 then [ [] ]
+    else List.concat_map (fun n -> List.map (fun c -> n :: c) (of_length (l - 1))) names
+  in
+  let base =
+    List.concat_map (fun l -> of_length (l + 1)) (List.init bound Fun.id)
+    |> List.map (fun c -> Compose.Chain (List.map (fun n -> Compose.Invoke n) c))
+  in
+  base
+  @ List.concat_map
+      (fun a ->
+        List.concat_map
+          (fun b -> Compose.[ Union (a, b); Inter (a, b); Minus (a, b) ])
+          base)
+      base
+
+let mdtb_env components =
+  List.map (fun (n, c) -> (n, Compose.minimal_prefix_nfa c)) components
+
+(* The memo-free reference for [compose_mdtb]'s lazy arm: the same
+   candidates, each plan's language rebuilt from scratch by
+   [Compose.plan_language_nfa], and the search's accounting restated —
+   rounds of [round] plans, the node budget checked before each round. *)
+let mdtb_reference ~round ~bound ~max_nodes ~goal ~components =
+  let env = mdtb_env components in
+  let matches plan =
+    Automata.Lang.equivalent
+      (Compose.plan_language_nfa ~env ~alphabet_size:2 plan)
+      goal
+    = Ok true
+  in
+  let rec split k = function
+    | x :: rest when k > 0 ->
+      let batch, tail = split (k - 1) rest in
+      (x :: batch, tail)
+    | l -> ([], l)
+  in
+  let rec go checked = function
+    | [] -> `Exhausted (`Candidates, checked)
+    | _ when checked >= max_nodes -> `Exhausted (`Nodes, checked)
+    | plans -> (
+      let batch, rest = split round plans in
+      match List.find_opt matches batch with
+      | Some p -> `Found p
+      | None -> go (checked + List.length batch) rest)
+  in
+  go 0 (mdtb_candidates ~bound (List.map fst components))
+
+(* Goals are regexes, or the language of one candidate plan itself, so
+   every plan shape (chain, union, intersection, difference) gets found.
+   Two components at bound 2 give 114 candidates: 6 chains, then a
+   (union, intersection, difference) triple per ordered pair of chains. *)
+let mdtb_instance =
+  QCheck.Gen.(
+    let pool =
+      [ "a"; "b"; "ab"; "ba"; "a|b"; "aa"; "b*"; "a(a|b)"; "(a|b)a"; "ab|ba"; "aa|b" ]
+    in
+    let* c1 = oneofl pool and* c2 = oneofl pool in
+    let* goal =
+      oneof
+        [
+          map (fun r -> `Regex r)
+            (oneofl [ c1 ^ c2; c2 ^ c1 ^ c1; "(" ^ c1 ^ ")|(" ^ c2 ^ ")"; "abab"; "b" ]);
+          map (fun i -> `Plan i) (0 -- 113);
+          (* a difference: the shape most often equal to no earlier plan *)
+          map (fun k -> `Plan (6 + (3 * k) + 2)) (0 -- 35);
+        ]
+    in
+    let* max_nodes = oneof [ 1 -- 130; return max_int ] in
+    return (goal, [ ("c1", c1); ("c2", c2) ], max_nodes))
+
+let prop_mdtb_memo_matches_reference =
+  QCheck.Test.make ~count:60
+    ~name:"memoized compose_mdtb matches the memo-free reference (jobs 1, 4)"
+    (QCheck.make
+       ~print:(fun (g, cs, m) ->
+         Fmt.str "goal %s, components %s, max_nodes %d"
+           (match g with `Regex r -> r | `Plan i -> Fmt.str "plan #%d" i)
+           (String.concat "," (List.map snd cs))
+           m)
+       mdtb_instance)
+    (fun (goal, components, max_nodes) ->
+      let components = List.map (fun (n, c) -> (n, nfa c)) components in
+      let goal =
+        match goal with
+        | `Regex r -> nfa r
+        | `Plan i ->
+          Compose.plan_language_nfa ~env:(mdtb_env components) ~alphabet_size:2
+            (List.nth (mdtb_candidates ~bound:2 [ "c1"; "c2" ]) i)
+      in
+      let budget =
+        if max_nodes = max_int then Engine.Budget.of_depth 2
+        else Engine.Budget.make ~max_depth:2 ~max_nodes ()
+      in
+      let agrees jobs =
+        let expected =
+          mdtb_reference
+            ~round:(if jobs <= 1 then 1 else 2 * jobs)
+            ~bound:2 ~max_nodes ~goal ~components
+        in
+        Par.Pool.set_jobs (Some jobs);
+        Engine.set_caching false;
+        let got =
+          Fun.protect
+            ~finally:(fun () ->
+              Engine.set_caching true;
+              Par.Pool.set_jobs None)
+            (fun () -> Compose.compose_mdtb ~budget ~goal ~components ())
+        in
+        match (expected, got) with
+        | `Found p, Compose.Found p' -> p = p'
+        | `Exhausted (limit, checked), Compose.No_mediator_within_bound e ->
+          e.Engine.limit = limit && e.Engine.nodes_expanded = checked
+        | _ -> false
+      in
+      agrees 1 && agrees 4)
+
 (* ------------------------------------------------------------------ *)
 (* CQ/UCQ composition via view rewriting                                *)
 (* ------------------------------------------------------------------ *)
@@ -291,4 +411,5 @@ let suite =
     Alcotest.test_case "compose cq" `Quick test_compose_cq;
     Alcotest.test_case "compose cq impossible" `Quick test_compose_cq_impossible;
     Alcotest.test_case "bounded search" `Quick test_bounded_search;
+    QCheck_alcotest.to_alcotest prop_mdtb_memo_matches_reference;
   ]

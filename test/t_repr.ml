@@ -82,6 +82,45 @@ let test_bitset_edges () =
   check "choose_opt empty" true (Bs.choose_opt Bs.empty = None);
   check "choose_opt nonempty" true (Bs.choose_opt (Bs.of_list [ 7; 3 ]) = Some 3)
 
+(* Elements at the word boundaries: with [Sys.int_size] = 63, bit 62 is
+   the sign bit of word 0 and 63 / 126 open words 1 and 2. *)
+let gen_boundary_elems =
+  QCheck.Gen.(
+    list_size (0 -- 12)
+      (oneof [ oneofl [ 0; 61; 62; 63; 125; 126; 127; 188; 189 ]; 0 -- 200 ]))
+
+let prop_bitset_accumulator =
+  QCheck.Test.make ~count:300
+    ~name:"bitset accumulator and bit index agree with Set.Make(Int)"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (list_size (0 -- 4) gen_boundary_elems) gen_boundary_elems
+           (oneofl [ 0; 62; 200 ])))
+    (fun (sets, bits, capacity) ->
+      let acc = Bs.acc_create ~capacity () in
+      List.iter (fun xs -> Bs.acc_union acc (Bs.of_list xs)) sets;
+      List.iter (Bs.acc_add acc) bits;
+      let got = Bs.acc_finish acc in
+      let model =
+        List.fold_left
+          (fun s xs -> Iset.union s (Iset.of_list xs))
+          (Iset.of_list bits) sets
+      in
+      let built = Bs.of_list (Iset.elements model) in
+      (* a finished accumulator starts over empty *)
+      Bs.acc_add acc 62;
+      let reused = Bs.elements (Bs.acc_finish acc) = [ 62 ] in
+      (* [elements], [fold] and [choose_opt] read bits back through the
+         constant-time bit index *)
+      Bs.elements got = Iset.elements model
+      && Bs.fold (fun x l -> x :: l) got [] = List.rev (Iset.elements model)
+      && Bs.choose_opt got = Iset.min_elt_opt model
+      && Bs.equal got built
+      && Bs.compare got built = 0
+      && Bs.hash got = Bs.hash built
+      && reused
+      && Bs.is_empty (Bs.acc_finish acc))
+
 (* ------------------------------------------------------------------ *)
 (* Symtab and Ituple                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -344,6 +383,58 @@ let prop_nfa_bitset_agrees =
           A.accepts n w = expected && Automata.Dfa.accepts d w = expected)
         (words_up_to 5 [ 0; 1; 2 ]))
 
+(* Random NFAs over two symbols with epsilon edges, always including an
+   epsilon cycle through state 0; up to 70 states, so state sets cross
+   the first word boundary. *)
+let gen_eps_nfa =
+  QCheck.Gen.(
+    let* num = 1 -- 70 in
+    let st = 0 -- (num - 1) in
+    let* edges = list_size (0 -- (3 * num)) (triple st (0 -- 1) st) in
+    let* eps = list_size (0 -- num) (pair st st) in
+    let* cycle = list_size (1 -- 4) st in
+    let cycle_edges =
+      List.combine (0 :: cycle) (cycle @ [ 0 ])
+    in
+    let* starts = list_size (1 -- 3) st in
+    let* finals = list_size (0 -- 3) st in
+    return
+      (Automata.Nfa.create ~num_states:num ~alphabet_size:2 ~starts ~finals
+         ~edges ~eps_edges:(cycle_edges @ eps)))
+
+(* The fold-of-unions step: one union per source state, then an
+   epsilon-closure fixpoint of unions, independent of the closure memo. *)
+let fold_of_unions_step n set a =
+  let module A = Automata.Nfa in
+  let union_over f s = A.Iset.fold (fun q acc -> A.Iset.union acc (f q)) s A.Iset.empty in
+  let rec close frontier seen =
+    if A.Iset.is_empty frontier then seen
+    else
+      let fresh = A.Iset.diff (union_over (A.eps_successors n) frontier) seen in
+      close fresh (A.Iset.union seen fresh)
+  in
+  let post = union_over (fun p -> A.successors n p a) set in
+  close post post
+
+let prop_nfa_step_post =
+  QCheck.Test.make ~count:100
+    ~name:"nfa step/post agree with the fold-of-unions reference"
+    (QCheck.make
+       QCheck.Gen.(pair gen_eps_nfa (list_size (0 -- 10) (0 -- 69))))
+    (fun (n, xs) ->
+      let module A = Automata.Nfa in
+      let num = A.num_states n in
+      let set = A.Iset.of_list (List.map (fun x -> x mod num) xs) in
+      List.for_all
+        (fun a ->
+          A.Iset.equal (A.step n set a) (fold_of_unions_step n set a)
+          && List.for_all
+               (fun p ->
+                 A.Iset.equal (A.post n p a)
+                   (fold_of_unions_step n (A.Iset.singleton p) a))
+               (List.init num Fun.id))
+        [ 0; 1 ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_bitset_algebra;
@@ -358,4 +449,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_relation_add_remove;
     QCheck_alcotest.to_alcotest prop_cq_strategies_agree;
     QCheck_alcotest.to_alcotest prop_nfa_bitset_agrees;
+    QCheck_alcotest.to_alcotest prop_nfa_step_post;
+    QCheck_alcotest.to_alcotest prop_bitset_accumulator;
   ]

@@ -198,6 +198,72 @@ let test_roman_epsilon () =
         (Sws_pl.run sws (Roman.encode_input w)))
     (Word_gen.words_up_to ~alphabet_size:2 5)
 
+(* The memoized chain (vector DFA -> NFA -> DFA) must answer exactly as
+   the transient AFA does: the same shortest witness and the same
+   language NFA, on regex-derived (Roman) services and on the SAT
+   reduction's services. *)
+let gen_regex =
+  let module Re = Automata.Regex in
+  QCheck.Gen.(
+    sized_size (0 -- 3)
+    @@ fix (fun self n ->
+           if n = 0 then frequency [ (4, map Re.sym (0 -- 1)); (1, return Re.Eps) ]
+           else
+             let sub = self (n - 1) in
+             frequency
+               [
+                 (2, map2 (fun a b -> Re.Alt (a, b)) sub sub);
+                 (3, map2 (fun a b -> Re.Seq (a, b)) sub sub);
+                 (1, map Re.star sub);
+                 (1, self 0);
+               ]))
+
+let gen_prop =
+  let v = Prop.var in
+  QCheck.Gen.(
+    sized_size (0 -- 4)
+    @@ fix (fun self n ->
+           if n = 0 then oneofl [ v "x"; v "y"; v "z"; Prop.True; Prop.False ]
+           else
+             oneof
+               [
+                 map (fun f -> Prop.Not f) (self (n - 1));
+                 map2 (fun f g -> Prop.And (f, g)) (self (n - 1)) (self (n - 1));
+                 map2 (fun f g -> Prop.Or (f, g)) (self (n - 1)) (self (n - 1));
+                 self 0;
+               ]))
+
+let gen_chain_service =
+  QCheck.Gen.(
+    oneof
+      [
+        map
+          (fun r -> Roman.to_sws_pl (Nfa.of_regex ~alphabet_size:2 r))
+          gen_regex;
+        map Reductions.sws_of_sat gen_prop;
+      ])
+
+let prop_chain_matches_afa =
+  QCheck.Test.make ~count:60
+    ~name:"vector-DFA chain matches the transient AFA (witness, language nfa)"
+    (QCheck.make gen_chain_service)
+    (fun sws ->
+      (* answer from the chain, not from an earlier equal service's memo *)
+      Engine.cache_clear_all ();
+      Sws_pl.clear_cache sws;
+      let afa = Sws_pl.to_afa sws in
+      let decode = List.map (Sws_pl.assignment_of_symbol sws) in
+      let witness_agrees =
+        match (Decision.pl_non_emptiness sws, Afa.shortest_word afa) with
+        | Decision.Yes w, Some w' -> List.equal Prop.Sset.equal w (decode w')
+        | Decision.No, None -> true
+        | _ -> false
+      in
+      witness_agrees
+      && String.equal
+           (Nfa.canonical_repr (Sws_pl.language_nfa sws))
+           (Nfa.canonical_repr (Afa.to_nfa afa)))
+
 let suite =
   [
     Alcotest.test_case "roman epsilon regression" `Quick test_roman_epsilon;
@@ -210,4 +276,5 @@ let suite =
     Alcotest.test_case "roman dfa -> sws(pl,pl)" `Quick test_roman_pl;
     Alcotest.test_case "roman nfa -> sws(cq,ucq)" `Quick test_roman_cq;
     QCheck_alcotest.to_alcotest prop_roman_preserves_language;
+    QCheck_alcotest.to_alcotest prop_chain_matches_afa;
   ]
