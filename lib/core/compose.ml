@@ -324,6 +324,14 @@ let rec plan_language_nfa ~env ~alphabet_size = function
          (Dfa.of_nfa (plan_language_nfa ~env ~alphabet_size a))
          (Dfa.of_nfa (plan_language_nfa ~env ~alphabet_size b)))
 
+(* A candidate's verdict on one word from its chains' verdicts on it:
+   [plan_language_nfa]'s semantics, one word at a time. *)
+let plan_accepts ~chain_accepts = function
+  | Union (a, b) -> chain_accepts a || chain_accepts b
+  | Inter (a, b) -> chain_accepts a && chain_accepts b
+  | Minus (a, b) -> chain_accepts a && not (chain_accepts b)
+  | (Invoke _ | Chain _) as c -> chain_accepts c
+
 (* All nonempty component-name sequences of length <= b. *)
 let chains names b =
   let rec of_length l =
@@ -419,8 +427,20 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
      builds only those plans' chains.  [prefill] forces a plan's entries;
      the search calls it sequentially on a whole round before handing the
      round to the pool, so worker domains only read the memo (and the
-     chains' warmed closures). *)
-  let matches, prefill =
+     chains' warmed closures).
+
+     Most candidates differ from the goal on a short word, and one such
+     word refutes many plans.  So the lazy arm keeps the counterexamples
+     of the plans it has refuted as test words, each with the goal's
+     verdict on it, and [refute]s a candidate that disagrees with the
+     goal on one of them before building its product: that word lies in
+     the symmetric difference of the two languages, so the refutation is
+     exact.  A plan's verdict on a word combines its chains' verdicts
+     ([Nfa.accepts] on the memoized chain NFA, memoized per chain and
+     word) by [plan_accepts].  Only survivors get a product and an exact
+     check ([check]), whose counterexample is [learn]ed.  [refute] and
+     [learn] run on the calling domain only. *)
+  let refute, prefill, check, learn =
     match strategy with
     | `Eager ->
       let env =
@@ -429,20 +449,25 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
           components
       in
       let goal_dfa = Dfa.minimize (Dfa.of_nfa goal) in
-      ( (fun plan ->
-          try Dfa.equivalent (plan_language ~env ~alphabet_size plan) goal_dfa
-          with Not_found -> false),
+      ( Fun.const false,
+        ignore,
+        (fun plan ->
+          try
+            if Dfa.equivalent (plan_language ~env ~alphabet_size plan) goal_dfa
+            then `Equivalent
+            else `Differs None
+          with Not_found -> `Differs None),
         ignore )
     | `Antichain ->
       let env = List.map (fun (n, c) -> (n, minimal_prefix_nfa c)) components in
       Nfa.warm_closures goal;
       List.iter (fun (_, n) -> Nfa.warm_closures n) env;
-      let memo tbl build plan =
-        match Hashtbl.find_opt tbl plan with
+      let memo tbl build key =
+        match Hashtbl.find_opt tbl key with
         | Some v -> v
         | None ->
-          let v = build plan in
-          Hashtbl.add tbl plan v;
+          let v = build key in
+          Hashtbl.add tbl key v;
           v
       in
       let nfas = Hashtbl.create 16 and dfas = Hashtbl.create 16 in
@@ -462,16 +487,28 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
         | Minus (a, b) -> Dfa.to_nfa (Dfa.diff (chain_dfa a) (chain_dfa b))
         | (Invoke _ | Chain _) as c -> chain_nfa c
       in
+      (* Test words with the goal's verdict on each, newest first. *)
+      let tests = ref [] and verdicts = Hashtbl.create 64 in
+      let chain_accepts w c =
+        memo verdicts (fun (c, w) -> Nfa.accepts (chain_nfa c) w) (c, w)
+      in
       ( (fun plan ->
-          try
-            match Lang.equivalent (plan_nfa plan) goal with
-            | Ok b -> b
-            | Error _ -> assert false (* no limits *)
-          with Not_found -> false),
-        function
+          List.exists
+            (fun (w, goal_accepts) ->
+              plan_accepts ~chain_accepts:(chain_accepts w) plan <> goal_accepts)
+            !tests),
+        (function
         | Union (a, b) | Inter (a, b) -> ignore (chain_nfa a, chain_nfa b)
         | Minus (a, b) -> ignore (chain_dfa a, chain_dfa b)
-        | (Invoke _ | Chain _) as c -> ignore (chain_nfa c) )
+        | (Invoke _ | Chain _) as c -> ignore (chain_nfa c)),
+        (fun plan ->
+          try
+            match Lang.equivalent_cex (plan_nfa plan) goal with
+            | Ok None -> `Equivalent
+            | Ok (Some w) -> `Differs (Some w)
+            | Error _ -> assert false (* no limits *)
+          with Not_found -> `Differs None),
+        fun w -> tests := (w, Nfa.accepts goal w) :: !tests )
   in
   (* Round-based search: the budget is checked before each round and every
      plan of a round is ticked and tested — on the domain pool when several
@@ -479,7 +516,10 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
      exactly the sequential loop (check, tick, test, next); with more jobs
      the first matching plan in candidate order still wins, and a budget
      trip can only happen having expanded at least as many plans as the
-     sequential search would have. *)
+     sequential search would have.  A round's refutations run on the
+     calling domain before it, and its counterexamples are learned there
+     after it, in candidate order; so the test words can differ between
+     job counts, but no verdict can. *)
   let round_size =
     let jobs = Par.Pool.effective_jobs () in
     if jobs <= 1 then 1 else 2 * jobs
@@ -504,17 +544,25 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
       | Error e -> No_mediator_within_bound e
       | Ok () ->
         let batch, rest = split_round round_size plans in
-        if round_size > 1 then List.iter prefill batch;
+        let batch = List.map (fun plan -> (plan, refute plan)) batch in
+        if round_size > 1 then
+          List.iter (fun (plan, refuted) -> if not refuted then prefill plan) batch;
         let results =
           Par.Pool.parallel_list_map
-            (fun plan ->
+            (fun (plan, refuted) ->
               Engine.Meter.tick meter;
-              if matches plan then Some plan else None)
+              (plan, if refuted then `Differs None else check plan))
             batch
         in
-        (match List.find_map Fun.id results with
+        match
+          List.find_map
+            (function plan, `Equivalent -> Some plan | _ -> None)
+            results
+        with
         | Some plan -> Found plan
-        | None -> search rest))
+        | None ->
+          List.iter (function _, `Differs (Some w) -> learn w | _ -> ()) results;
+          search rest)
   in
   search candidates
 

@@ -87,6 +87,12 @@ val plan_language :
 val plan_language_nfa :
   env:(string * Automata.Nfa.t) list -> alphabet_size:int -> plan -> Automata.Nfa.t
 
+(** A candidate plan's verdict on one word, from its chains' verdicts on
+    it: [plan_accepts ~chain_accepts p] is [Nfa.accepts] of
+    {!plan_language_nfa} [p] on the word when [chain_accepts c] is that
+    of each chain [c] of [p]. *)
+val plan_accepts : chain_accepts:(plan -> bool) -> plan -> bool
+
 type bounded_result =
   | Found of plan
   | No_mediator_within_bound of Engine.exhausted
@@ -96,7 +102,12 @@ type bounded_result =
     plan space.  The budget's depth is the chain-length bound (default 2,
     replacing the old [bound] integer); each candidate plan costs one
     budget node.  Under [`Antichain] (default) the goal is never
-    determinized — each plan is checked by lazy product exploration. *)
+    determinized — each plan is checked by lazy product exploration, and
+    only if it agrees with the goal on every test word: the
+    counterexamples that refuted earlier plans of the same call.  A plan
+    that disagrees on one is refuted exactly (the word lies in the
+    symmetric difference), so the answer and every [Exhausted] record are
+    those of checking each plan in full. *)
 val compose_mdtb :
   ?stats:Engine.Stats.t ->
   ?budget:Engine.Budget.t ->

@@ -216,7 +216,7 @@ module Stats = struct
   let global = create ()
 
   (* The hot path: the creating domain (virtually all bumps) skips even the
-     domain-local-storage lookup. *)
+     shard lookup. *)
   let my t =
     if (Domain.self () :> int) = t.owner_id then t.owner
     else Par.Shard.get t.shards

@@ -35,12 +35,16 @@ let to_sws_pl nfa =
   let k = Nfa.alphabet_size nfa in
   let input_vars = List.init k letter_var @ [ end_var ] in
   let finals = Nfa.Iset.of_list (Nfa.finals nfa) in
+  (* State names and letter indicators, made once and shared by every
+     rule that mentions them. *)
+  let names = Array.init (Nfa.num_states nfa) state_name in
+  let letters = Array.init k (fun a -> Prop.Var (letter_var a)) in
   let succs_of q =
     let letter_succs =
       List.concat_map
         (fun a ->
           List.map
-            (fun q' -> (state_name q', Prop.Var (letter_var a)))
+            (fun q' -> (names.(q'), letters.(a)))
             (Nfa.Iset.elements (Nfa.successors nfa q a)))
         (List.init k Fun.id)
     in
@@ -48,8 +52,7 @@ let to_sws_pl nfa =
       letter_succs @ [ (collector, Prop.Var end_var) ]
     else letter_succs
   in
-  let rule_of q =
-    let succs = succs_of q in
+  let rule_of succs =
     let synth =
       match succs with
       | [] -> Prop.False (* dead end, never legal *)
@@ -57,22 +60,12 @@ let to_sws_pl nfa =
     in
     { Sws_def.succs; synth }
   in
-  let state_rules =
-    List.map (fun q -> (state_name q, rule_of q)) (List.init (Nfa.num_states nfa) Fun.id)
-  in
+  let rules = Array.init (Nfa.num_states nfa) (fun q -> rule_of (succs_of q)) in
+  let state_rules = Array.to_list (Array.mapi (fun q r -> (names.(q), r)) rules) in
   (* A fresh start that unions all NFA start states: Definition 2.1 forbids
      the start state in any rhs. *)
-  let root_succs =
-    List.concat_map (fun q -> (rule_of q).Sws_def.succs) (Nfa.starts nfa)
-  in
   let root_rule =
-    let succs = root_succs in
-    let synth =
-      match succs with
-      | [] -> Prop.False
-      | _ -> Prop.disj (List.mapi (fun i _ -> Prop.Var (Sws_pl.act_var i)) succs)
-    in
-    { Sws_def.succs; synth }
+    rule_of (List.concat_map (fun q -> rules.(q).Sws_def.succs) (Nfa.starts nfa))
   in
   let collector_rule = { Sws_def.succs = []; synth = Prop.Var Sws_pl.msg_var } in
   Sws_pl.make ~input_vars ~start:root

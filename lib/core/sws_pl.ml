@@ -20,7 +20,13 @@ module Afa = Automata.Afa
 
 let msg_var = "@msg"
 
-let act_var i = Printf.sprintf "act%d" (i + 1)
+(* Names for the first 64 successors, so the hot paths (every rule of
+   every service) share them instead of formatting one per use. *)
+let act_names = Array.init 64 (fun i -> Printf.sprintf "act%d" (i + 1))
+
+let act_var i =
+  if i < Array.length act_names then act_names.(i)
+  else Printf.sprintf "act%d" (i + 1)
 
 type query = Prop.t
 
@@ -105,13 +111,15 @@ let shared_cache ~input_vars ~def =
 
 exception Ill_formed = Sws_def.Ill_formed
 
-let check_vars ~allowed where f =
+(* [(what, q)] names the query for the error message, which is only
+   formatted when the check fails. *)
+let check_vars ~allowed (what, q) f =
   List.iter
     (fun x ->
       if not (List.mem x allowed) then
         raise
           (Ill_formed
-             (Printf.sprintf "variable %s not allowed in %s" x where)))
+             (Printf.sprintf "variable %s not allowed in %s of %s" x what q)))
     (Prop.vars f)
 
 let make ~input_vars ~start ~rules =
@@ -129,20 +137,14 @@ let make ~input_vars ~start ~rules =
     (fun q (r : (query, query) Sws_def.rule) () ->
       List.iter
         (fun (_, phi) ->
-          check_vars ~allowed:env_vars
-            (Printf.sprintf "transition query of %s" q)
-            phi)
+          check_vars ~allowed:env_vars ("transition query", q) phi)
         r.succs;
       match r.succs with
       | [] ->
-        check_vars ~allowed:env_vars
-          (Printf.sprintf "final synthesis query of %s" q)
-          r.synth
+        check_vars ~allowed:env_vars ("final synthesis query", q) r.synth
       | succs ->
         let acts = List.mapi (fun i _ -> act_var i) succs in
-        check_vars ~allowed:acts
-          (Printf.sprintf "synthesis query of %s" q)
-          r.synth)
+        check_vars ~allowed:acts ("synthesis query", q) r.synth)
     def ();
   t
 
@@ -218,6 +220,47 @@ let accepts_word t word =
 (* ------------------------------------------------------------------ *)
 (* Translation to alternating automata                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* A transition or final-state synthesis query compiled to a predicate on
+   a symbol's bit mask with the message bit placed after the input
+   variables: [compile_query t f (s lor (1 lsl n))], for [n] input
+   variables, is [Prop.eval] of [f] under symbol [s] with the message set
+   (without the bit: unset).  A variable is true when any of its input
+   positions (and, for [msg_var], the message bit) is set, which is
+   [Prop.eval]'s reading of the assignment [Sem.env] builds. *)
+let compile_query t =
+  let n = List.length t.input_vars in
+  let mask x =
+    let m, _ =
+      List.fold_left
+        (fun (m, i) y -> ((if String.equal x y then m lor (1 lsl i) else m), i + 1))
+        (0, 0) t.input_vars
+    in
+    if String.equal x msg_var then m lor (1 lsl n) else m
+  in
+  let rec go = function
+    | Prop.True -> fun _ -> true
+    | Prop.False -> fun _ -> false
+    | Prop.Var x ->
+      let m = mask x in
+      fun s -> s land m <> 0
+    | Prop.Not f ->
+      let f = go f in
+      fun s -> not (f s)
+    | Prop.And (f, g) ->
+      let f = go f and g = go g in
+      fun s -> f s && g s
+    | Prop.Or (f, g) ->
+      let f = go f and g = go g in
+      fun s -> f s || g s
+    | Prop.Implies (f, g) ->
+      let f = go f and g = go g in
+      fun s -> (not (f s)) || g s
+    | Prop.Iff (f, g) ->
+      let f = go f and g = go g in
+      fun s -> Bool.equal (f s) (g s)
+  in
+  go
 
 (* An internal state's synthesis query as an AFA condition builder: each
    [act_var i] is resolved to child [i] once per state, and the result maps
@@ -295,43 +338,40 @@ let to_afa t =
   in
   let alphabet_size = alphabet_size t in
   let start_name = Sws_def.start t.def in
-  (* Per-symbol run environments, without and with the message bit:
-     computed once, shared by every state's row. *)
-  let envs =
-    Array.init alphabet_size (fun s ->
-        let a = assignment_of_symbol t s in
-        (a, Sem.env a true))
-  in
-  let row q m =
-    let env_of s = if m then snd envs.(s) else fst envs.(s) in
+  let msg_bit = alphabet_size in
+  let query = compile_query t in
+  (* One state's rows, its queries compiled once for both message bits. *)
+  let rows q =
     let rule = Sws_def.rule t.def q in
     match rule.Sws_def.succs with
     | [] ->
-      Array.init alphabet_size (fun s ->
-          if Prop.eval (env_of s) rule.Sws_def.synth then Afa.Ftrue
-          else Afa.Ffalse)
+      let synth = query rule.Sws_def.synth in
+      fun m ->
+        Array.init alphabet_size (fun s ->
+            if synth (s lor m) then Afa.Ftrue else Afa.Ffalse)
     | succs ->
       let literal (q_i, phi_i) =
-        let alive = Afa.State ((2 * index q_i) + 1) in
-        fun env -> if Prop.eval env phi_i then alive else Afa.Ffalse
+        let alive = Afa.State ((2 * index q_i) + 1) and phi_i = query phi_i in
+        fun s -> if phi_i s then alive else Afa.Ffalse
       in
       let children = Array.of_list (List.map literal succs) in
       let synth =
         synth_form (List.mapi (fun i _ -> (act_var i, i)) succs) rule.Sws_def.synth
       in
-      Array.init alphabet_size (fun s ->
-          let env = env_of s in
-          synth (Array.map (fun child -> child env) children))
+      fun m ->
+        Array.init alphabet_size (fun s ->
+            let s = s lor m in
+            synth (Array.map (fun child -> child s) children))
   in
-  let delta =
-    Array.init
-      (2 * Array.length states)
-      (fun code ->
-        let q = states.(code / 2) in
-        let m = code mod 2 = 1 in
-        if m || String.equal q start_name then row q m
-        else Array.make alphabet_size Afa.Ffalse)
-  in
+  let delta = Array.make (2 * Array.length states) [||] in
+  Array.iteri
+    (fun i q ->
+      let rows = rows q in
+      delta.(2 * i) <-
+        (if String.equal q start_name then rows 0
+         else Array.make alphabet_size Afa.Ffalse);
+      delta.((2 * i) + 1) <- rows msg_bit)
+    states;
   Afa.create ~alphabet_size ~start:(2 * index start_name) ~finals:[] ~delta
 
 (* Approximate resident bytes of the chain's automata, for the store's

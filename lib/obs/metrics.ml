@@ -56,7 +56,7 @@ let escape_help s =
 (* ------------------------------------------------------------------ *)
 
 module Counter = struct
-  (* One plain [int ref] per domain; [inc] is a DLS read plus an
+  (* One plain [int ref] per domain; [inc] is a shard lookup plus an
      unsynchronised store.  Negative increments are dropped — counters
      are monotone by contract, and a buggy caller must not be able to
      make a scrape go backwards. *)

@@ -7,7 +7,7 @@
     {ol
     {- {b Contention-free hot path.}  Counter increments and histogram
        observations land in per-domain instances ({!Par.Shard}) — one
-       domain-local-storage read, plain unsynchronised mutation, no lock,
+       atomic load and slot lookup, plain unsynchronised mutation, no lock,
        no atomic RMW.  Readers merge the shards at scrape time.}
     {- {b Zero cost when off.}  {!set_enabled}[ false] turns every bump
        into one atomic load and a branch; values read back as they were.

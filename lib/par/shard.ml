@@ -1,49 +1,40 @@
-(* Each shard cell owns a DLS key, so [get] is one domain-local slot read on
-   the hot path.  The registry of all instances (for [fold]) is an append-only
-   list under a mutex, touched once per (domain, cell) pair.  DLS slots are
-   never reclaimed by the runtime; cells are created per Stats/Trace session,
-   which is a few hundred slots over a long run — noise. *)
+(* A cell keeps its per-domain instances itself: an immutable record of
+   parallel arrays (domain ids, instances) in creation order, published
+   through an [Atomic.t].  [get] is one atomic load and a scan of as many
+   entries as domains have touched the cell (the owner's is first).  A
+   domain's first [get] appends its instance with a compare-and-set on a
+   copy; only that domain ever registers its id, so a lost race just
+   retries the append and no entry is lost or doubled.  Everything lives
+   in the cell, so a dropped cell is garbage as a whole (a
+   domain-local-storage key per cell would pin the creating domain's
+   instance until that domain exits). *)
 
-type 'a t = {
-  key : 'a option ref Domain.DLS.key;
-  fresh : unit -> 'a;
-  lock : Mutex.t;
-  mutable all : 'a list; (* reverse creation order *)
-}
+type 'a slots = { ids : int array; vals : 'a array }
+type 'a t = { slots : 'a slots Atomic.t; fresh : unit -> 'a }
+
+let rec register t id v =
+  let s = Atomic.get t.slots in
+  let s' = { ids = Array.append s.ids [| id |]; vals = Array.append s.vals [| v |] } in
+  if Atomic.compare_and_set t.slots s s' then v else register t id v
 
 let get t =
-  let slot = Domain.DLS.get t.key in
-  match !slot with
-  | Some v -> v
-  | None ->
-    let v = t.fresh () in
-    Mutex.protect t.lock (fun () -> t.all <- v :: t.all);
-    slot := Some v;
-    v
+  let id = (Domain.self () :> int) in
+  let s = Atomic.get t.slots in
+  let n = Array.length s.ids in
+  let rec find i =
+    if i = n then register t id (t.fresh ())
+    else if Array.unsafe_get s.ids i = id then Array.unsafe_get s.vals i
+    else find (i + 1)
+  in
+  find 0
 
 let create fresh =
-  let t =
-    {
-      key = Domain.DLS.new_key (fun () -> ref None);
-      fresh;
-      lock = Mutex.create ();
-      all = [];
-    }
-  in
+  let t = { slots = Atomic.make { ids = [||]; vals = [||] }; fresh } in
   ignore (get t);
   t
 
-let owner t =
-  (* the creating domain's instance is the last element (reverse order) *)
-  let rec last = function
-    | [ v ] -> v
-    | _ :: tl -> last tl
-    | [] -> assert false (* [create] registered one *)
-  in
-  last (Mutex.protect t.lock (fun () -> t.all))
+let owner t = (Atomic.get t.slots).vals.(0)
 
-let snapshot t = List.rev (Mutex.protect t.lock (fun () -> t.all))
+let fold f init t = Array.fold_left f init (Atomic.get t.slots).vals
 
-let fold f init t = List.fold_left f init (snapshot t)
-
-let iter f t = List.iter f (snapshot t)
+let iter f t = Array.iter f (Atomic.get t.slots).vals

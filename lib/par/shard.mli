@@ -3,20 +3,21 @@
     A ['a t] hands each domain that touches it a private ['a] (created by the
     constructor passed to {!create}), so hot-path writes are plain
     unsynchronised mutation of domain-local state.  Readers fold over every
-    instance ever created, in creation order, taking a short registry lock —
-    the "per-domain + merge" scheme used by [Engine.Stats] counters,
+    instance the cell holds, in creation order, without a lock — the
+    "per-domain + merge" scheme used by [Engine.Stats] counters,
     [Obs.Trace] ring buffers and the [Index] stores.
 
     On a single domain there is exactly one instance, created eagerly by
     {!create} for the calling domain, so sharded state behaves (and prints)
     exactly like the unsharded original.
 
-    Instances are never reclaimed: a domain's instance outlives the domain,
+    A domain's instance lives as long as its cell: it outlives the domain,
     so counts survive [Domain.join] and merging at a join point sees all
-    work.  Writers must be the owning domain only; readers folding while
-    another domain writes see a consistent-enough view for monotonic
-    counters (int loads are atomic) but should fold at fork/join boundaries
-    for exact totals. *)
+    work, and it becomes garbage with the cell, so cells created per
+    request or per database cost nothing once dropped.  Writers must be
+    the owning domain only; readers folding while another domain writes
+    see a consistent-enough view for monotonic counters (int loads are
+    atomic) but should fold at fork/join boundaries for exact totals. *)
 
 type 'a t
 

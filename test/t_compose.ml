@@ -170,13 +170,15 @@ let mdtb_env components =
 
 (* The memo-free reference for [compose_mdtb]'s lazy arm: the same
    candidates, each plan's language rebuilt from scratch by
-   [Compose.plan_language_nfa], and the search's accounting restated —
-   rounds of [round] plans, the node budget checked before each round. *)
+   [Compose.plan_language_nfa] and checked in full (no memo, no test-word
+   refutation), and the search's accounting restated — rounds of [round]
+   plans, the node budget checked before each round. *)
 let mdtb_reference ~round ~bound ~max_nodes ~goal ~components =
   let env = mdtb_env components in
+  let alphabet_size = Nfa.alphabet_size goal in
   let matches plan =
     Automata.Lang.equivalent
-      (Compose.plan_language_nfa ~env ~alphabet_size:2 plan)
+      (Compose.plan_language_nfa ~env ~alphabet_size plan)
       goal
     = Ok true
   in
@@ -197,47 +199,62 @@ let mdtb_reference ~round ~bound ~max_nodes ~goal ~components =
   in
   go 0 (mdtb_candidates ~bound (List.map fst components))
 
-(* Goals are regexes, or the language of one candidate plan itself, so
-   every plan shape (chain, union, intersection, difference) gets found.
-   Two components at bound 2 give 114 candidates: 6 chains, then a
-   (union, intersection, difference) triple per ordered pair of chains. *)
+(* Instances over 2- and 3-letter alphabets with 1 to 3 components, so
+   bound 2 gives 14, 114 or 444 candidates: c chains, then a (union,
+   intersection, difference) triple per ordered pair of chains.  Goals
+   are regexes, or the language of one candidate plan itself, so every
+   plan shape (chain, union, intersection, difference) gets found; node
+   budgets range over the whole space, so they trip mid-search too. *)
 let mdtb_instance =
   QCheck.Gen.(
+    let* alphabet_size = oneofl [ 2; 3 ] in
     let pool =
       [ "a"; "b"; "ab"; "ba"; "a|b"; "aa"; "b*"; "a(a|b)"; "(a|b)a"; "ab|ba"; "aa|b" ]
+      @ if alphabet_size = 3 then [ "c"; "ca"; "a|c"; "c*"; "a(b|c)"; "(a|c)b"; "ab|ca"; "cc|b" ]
+        else []
     in
-    let* c1 = oneofl pool and* c2 = oneofl pool in
+    let* k = 1 -- 3 in
+    let* cs = list_repeat k (oneofl pool) in
+    let chains = k + (k * k) in
+    let candidates = chains + (3 * chains * chains) in
     let* goal =
       oneof
         [
           map (fun r -> `Regex r)
-            (oneofl [ c1 ^ c2; c2 ^ c1 ^ c1; "(" ^ c1 ^ ")|(" ^ c2 ^ ")"; "abab"; "b" ]);
-          map (fun i -> `Plan i) (0 -- 113);
+            (oneofl
+               ([ "abab"; "b"; "(ab)*" ]
+               @ (match cs with
+                 | [ c1 ] -> [ c1 ^ c1; c1 ^ c1 ^ c1 ]
+                 | c1 :: c2 :: _ -> [ c1 ^ c2; c2 ^ c1 ^ c1; "(" ^ c1 ^ ")|(" ^ c2 ^ ")" ]
+                 | [] -> [])));
+          map (fun i -> `Plan i) (0 -- (candidates - 1));
           (* a difference: the shape most often equal to no earlier plan *)
-          map (fun k -> `Plan (6 + (3 * k) + 2)) (0 -- 35);
+          map (fun j -> `Plan (chains + (3 * j) + 2)) (0 -- ((chains * chains) - 1));
         ]
     in
-    let* max_nodes = oneof [ 1 -- 130; return max_int ] in
-    return (goal, [ ("c1", c1); ("c2", c2) ], max_nodes))
+    let* max_nodes = oneof [ 1 -- (candidates + 16); return max_int ] in
+    return
+      (alphabet_size, goal, List.mapi (fun i c -> (Fmt.str "c%d" (i + 1), c)) cs, max_nodes))
 
 let prop_mdtb_memo_matches_reference =
   QCheck.Test.make ~count:60
     ~name:"memoized compose_mdtb matches the memo-free reference (jobs 1, 4)"
     (QCheck.make
-       ~print:(fun (g, cs, m) ->
-         Fmt.str "goal %s, components %s, max_nodes %d"
+       ~print:(fun (k, g, cs, m) ->
+         Fmt.str "alphabet %d, goal %s, components %s, max_nodes %d" k
            (match g with `Regex r -> r | `Plan i -> Fmt.str "plan #%d" i)
            (String.concat "," (List.map snd cs))
            m)
        mdtb_instance)
-    (fun (goal, components, max_nodes) ->
+    (fun (alphabet_size, goal, components, max_nodes) ->
+      let nfa r = Nfa.of_regex ~alphabet_size (Regex.parse r) in
       let components = List.map (fun (n, c) -> (n, nfa c)) components in
       let goal =
         match goal with
         | `Regex r -> nfa r
         | `Plan i ->
-          Compose.plan_language_nfa ~env:(mdtb_env components) ~alphabet_size:2
-            (List.nth (mdtb_candidates ~bound:2 [ "c1"; "c2" ]) i)
+          Compose.plan_language_nfa ~env:(mdtb_env components) ~alphabet_size
+            (List.nth (mdtb_candidates ~bound:2 (List.map fst components)) i)
       in
       let budget =
         if max_nodes = max_int then Engine.Budget.of_depth 2
@@ -265,6 +282,69 @@ let prop_mdtb_memo_matches_reference =
         | _ -> false
       in
       agrees 1 && agrees 4)
+
+(* The test-word refutation's soundness: a plan's verdict on a word,
+   combined from its chains' verdicts, is the plan language's. *)
+let prop_plan_accepts_matches_language =
+  QCheck.Test.make ~count:200
+    ~name:"plan_accepts = accepts of plan_language_nfa on random words"
+    (QCheck.make
+       ~print:(fun (i, cs, w) ->
+         Fmt.str "plan #%d, components %s, word %a" i (String.concat "," cs)
+           Word_gen.pp_word w)
+       QCheck.Gen.(
+         let pool = [ "a"; "ab"; "ba"; "a|c"; "c*"; "a(b|c)"; "(a|c)b"; "ab|ca"; "b*a" ] in
+         let* c1 = oneofl pool and* c2 = oneofl pool in
+         let* i = 0 -- 113 in
+         let* w = list_size (0 -- 6) (0 -- 2) in
+         return (i, [ c1; c2 ], w)))
+    (fun (i, cs, w) ->
+      let env =
+        mdtb_env
+          (List.mapi
+             (fun i c ->
+               (Fmt.str "c%d" (i + 1), Nfa.of_regex ~alphabet_size:3 (Regex.parse c)))
+             cs)
+      in
+      let lang = Compose.plan_language_nfa ~env ~alphabet_size:3 in
+      let plan = List.nth (mdtb_candidates ~bound:2 [ "c1"; "c2" ]) i in
+      Compose.plan_accepts ~chain_accepts:(fun c -> Nfa.accepts (lang c) w) plan
+      = Nfa.accepts (lang plan) w)
+
+(* The refutation fires: on a 114-candidate instance with no mediator,
+   the search explores under a quarter of the antichain pairs that
+   checking every plan in full explores (the chain memo alone saves
+   about 2 %), and still reports every plan as checked. *)
+let test_mdtb_refutation_fires () =
+  let goal = nfa "ababab" and components = [ ("c1", nfa "ab"); ("c2", nfa "ba") ] in
+  let explored f =
+    let before = Automata.Lang.states_explored_total () in
+    let r = f () in
+    (r, Automata.Lang.states_explored_total () - before)
+  in
+  let reference, reference_pairs =
+    explored (fun () ->
+        mdtb_reference ~round:1 ~bound:2 ~max_nodes:max_int ~goal ~components)
+  in
+  let got, pairs =
+    Par.Pool.set_jobs (Some 1);
+    Engine.set_caching false;
+    Fun.protect
+      ~finally:(fun () ->
+        Engine.set_caching true;
+        Par.Pool.set_jobs None)
+      (fun () ->
+        explored (fun () ->
+            Compose.compose_mdtb ~budget:(Engine.Budget.of_depth 2) ~goal
+              ~components ()))
+  in
+  (match (reference, got) with
+  | `Exhausted (`Candidates, 114), Compose.No_mediator_within_bound e ->
+    Alcotest.(check int) "plans_checked" 114 e.Engine.nodes_expanded
+  | _ -> Alcotest.fail "expected the plan space to run dry after 114 plans");
+  if not (4 * pairs < reference_pairs) then
+    Alcotest.failf "refuted search explored %d pairs, the full checks %d" pairs
+      reference_pairs
 
 (* ------------------------------------------------------------------ *)
 (* CQ/UCQ composition via view rewriting                                *)
@@ -412,4 +492,7 @@ let suite =
     Alcotest.test_case "compose cq impossible" `Quick test_compose_cq_impossible;
     Alcotest.test_case "bounded search" `Quick test_bounded_search;
     QCheck_alcotest.to_alcotest prop_mdtb_memo_matches_reference;
+    QCheck_alcotest.to_alcotest prop_plan_accepts_matches_language;
+    Alcotest.test_case "mdtb test words refute before products" `Quick
+      test_mdtb_refutation_fires;
   ]

@@ -325,6 +325,27 @@ let test_scan_array_stress () =
 
 (* ------------------------------------------------------------------ *)
 
+(* [Par.Shard] cells are created per swsd request ([Engine.Stats.create])
+   and per database ([Index.create] inside [Database.empty]); a dropped
+   cell must leave nothing behind. *)
+let test_shard_cells_reclaimed () =
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let growth name f =
+    ignore (f ());
+    let before = live_words () in
+    for _ = 1 to 100_000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let grown = live_words () - before in
+    if grown >= 50_000 then
+      Alcotest.failf "%s: 100k dropped cells retained %d live words" name grown
+  in
+  growth "Engine.Stats.create" Engine.Stats.create;
+  growth "Database.empty" (fun () -> R.Database.empty R.Schema.empty)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_combinators_agree;
@@ -344,4 +365,6 @@ let suite =
       test_interning_stress;
     Alcotest.test_case "8-domain scan-array stress" `Quick
       test_scan_array_stress;
+    Alcotest.test_case "dropped shard cells are reclaimed" `Quick
+      test_shard_cells_reclaimed;
   ]

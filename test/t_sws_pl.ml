@@ -264,6 +264,17 @@ let prop_chain_matches_afa =
            (Nfa.canonical_repr (Sws_pl.language_nfa sws))
            (Nfa.canonical_repr (Afa.to_nfa afa)))
 
+(* [to_afa] compiles each query to a predicate on symbol bit masks; its
+   AFA must still read every query as [Prop.eval] does in a direct run. *)
+let prop_afa_matches_runs =
+  QCheck.Test.make ~count:30 ~name:"to_afa agrees with direct runs (random services)"
+    (QCheck.make gen_chain_service)
+    (fun sws ->
+      let afa = Sws_pl.to_afa sws in
+      List.for_all
+        (fun w -> Sws_pl.accepts_word sws w = Afa.accepts afa w)
+        (Word_gen.words_up_to ~alphabet_size:(Sws_pl.alphabet_size sws) 2))
+
 let suite =
   [
     Alcotest.test_case "roman epsilon regression" `Quick test_roman_epsilon;
@@ -277,4 +288,5 @@ let suite =
     Alcotest.test_case "roman nfa -> sws(cq,ucq)" `Quick test_roman_cq;
     QCheck_alcotest.to_alcotest prop_roman_preserves_language;
     QCheck_alcotest.to_alcotest prop_chain_matches_afa;
+    QCheck_alcotest.to_alcotest prop_afa_matches_runs;
   ]
