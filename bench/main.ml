@@ -634,108 +634,6 @@ let line_graph_db n =
     (R.Database.empty (R.Schema.of_list [ ("e", 2) ]))
     (List.init n Fun.id)
 
-(* Every decidable CQ/UCQ cell funnels through [Cq.eval_substs]; this series
-   isolates what the index layer buys on its hot path.  Each instance is
-   evaluated under all three strategies and the results are checked equal —
-   the ablation is only meaningful if the answers agree. *)
-let join_strategy_ablation () =
-  header "Ablation: CQ join strategies — naive vs greedy vs indexed";
-  let v = R.Term.var in
-  let chain_q len =
-    R.Cq.make
-      ~head:[ v "x0"; v (Printf.sprintf "x%d" len) ]
-      ~body:
-        (List.init len (fun i ->
-             R.Atom.make "e"
-               [ v (Printf.sprintf "x%d" i); v (Printf.sprintf "x%d" (i + 1)) ]))
-      ()
-  in
-  let strategies = [ ("naive", `Naive); ("greedy", `Greedy); ("indexed", `Indexed) ] in
-  let cq_sizes = if quick then [ 50; 400 ] else [ 50; 400; 1600 ] in
-  let q = chain_q 4 in
-  let cq_readings =
-    List.map
-      (fun n ->
-        let db = line_graph_db n in
-        let outcomes =
-          List.map
-            (fun (name, s) ->
-              let result = R.Cq.eval ~strategy:s q db in
-              (name, result, measure (fun () -> ignore (R.Cq.eval ~strategy:s q db))))
-            strategies
-        in
-        (n, outcomes))
-      cq_sizes
-  in
-  List.iter
-    (fun (n, outcomes) ->
-      series
-        (Printf.sprintf "4-chain CQ over a %d-edge line graph" n)
-        (List.map (fun (name, _, ms) -> (name, ms)) outcomes);
-      let _, r0, _ = List.hd outcomes in
-      row "all strategies agree: %b"
-        (List.for_all (fun (_, r, _) -> R.Relation.equal r r0) outcomes))
-    cq_readings;
-  (match List.rev cq_readings with
-  | (n, outcomes) :: _ ->
-    let ms_of name = List.assoc name (List.map (fun (k, _, ms) -> (k, ms)) outcomes) in
-    row "largest CQ instance (%d edges): indexed %.3f ms vs greedy %.3f ms — indexed faster: %b"
-      n (ms_of "indexed") (ms_of "greedy")
-      (ms_of "indexed" < ms_of "greedy")
-  | [] -> ());
-  (* The same three joins inside the datalog engine: transitive closure of a
-     line, where semi-naive rounds re-join the delta against the EDB. *)
-  let tc =
-    Datalog.Dl.make
-      [
-        Datalog.Dl.plain_rule "tc" [ v "x"; v "y" ] [ R.Atom.make "e" [ v "x"; v "y" ] ];
-        Datalog.Dl.plain_rule "tc" [ v "x"; v "z" ]
-          [ R.Atom.make "e" [ v "x"; v "y" ]; R.Atom.make "tc" [ v "y"; v "z" ] ];
-      ]
-  in
-  let tc_db n =
-    R.Database.fold
-      (fun name r acc -> R.Database.set name r acc)
-      (line_graph_db n)
-      (R.Database.empty (R.Schema.of_list [ ("e", 2); ("tc", 2) ]))
-  in
-  let dl_sizes = if quick then [ 30; 80 ] else [ 30; 80; 200 ] in
-  let dl_readings =
-    List.map
-      (fun n ->
-        let db = tc_db n in
-        let outcomes =
-          List.map
-            (fun (name, s) ->
-              let result =
-                R.Database.find "tc" (Datalog.Seminaive.eval ~cq_strategy:s tc db)
-              in
-              ( name,
-                result,
-                measure (fun () ->
-                    ignore (Datalog.Seminaive.eval ~cq_strategy:s tc db)) ))
-            strategies
-        in
-        (n, outcomes))
-      dl_sizes
-  in
-  List.iter
-    (fun (n, outcomes) ->
-      series
-        (Printf.sprintf "semi-naive TC of a %d-node line" n)
-        (List.map (fun (name, _, ms) -> (name, ms)) outcomes);
-      let _, r0, _ = List.hd outcomes in
-      row "all strategies agree: %b"
-        (List.for_all (fun (_, r, _) -> R.Relation.equal r r0) outcomes))
-    dl_readings;
-  match List.rev dl_readings with
-  | (n, outcomes) :: _ ->
-    let ms_of name = List.assoc name (List.map (fun (k, _, ms) -> (k, ms)) outcomes) in
-    row "largest datalog instance (%d nodes): indexed %.3f ms vs greedy %.3f ms — indexed faster: %b"
-      n (ms_of "indexed") (ms_of "greedy")
-      (ms_of "indexed" < ms_of "greedy")
-  | [] -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Ablation: engine caches (incremental unfolding + automata chain)     *)
 (* ------------------------------------------------------------------ *)
@@ -847,7 +745,7 @@ let representation_ablation () =
            measure (fun () -> ignore (Dfa.nfa_equivalent n n)) ))
        (if quick then [ 8 ] else [ 8; 10; 12 ]));
   (* The PR-1 join series under interned tuples: id-level probes against
-     the same line-graph family as the join-strategy ablation. *)
+     a line-graph family. *)
   let v = R.Term.var in
   let chain_q len =
     R.Cq.make
@@ -864,7 +762,7 @@ let representation_ablation () =
        (fun n ->
          let db = line_graph_db n in
          ( Printf.sprintf "%d edges, indexed" n,
-           measure (fun () -> ignore (R.Cq.eval ~strategy:`Indexed q db)) ))
+           measure (fun () -> ignore (R.Cq.eval q db)) ))
        (if quick then [ 400 ] else [ 400; 1600 ]));
   row "process gauges: interner size %d values, bitset allocations %d"
     (R.Value.interner_size ())
@@ -937,7 +835,7 @@ let parallel_scaling () =
   in
   scale
     (Printf.sprintf "indexed 4-chain join (%d-edge line graph)" join_n)
-    (fun () -> ignore (R.Cq.eval ~strategy:`Indexed join_q join_db));
+    (fun () -> ignore (R.Cq.eval join_q join_db));
   (* engine candidate fan-out: the full MDT_b plan space against an
      unmatchable goal, so every candidate is expanded *)
   let fanout_components =
@@ -988,28 +886,7 @@ let parallel_scaling () =
 
 let ablations () =
   header "Ablations";
-  (* join ordering *)
   let v = R.Term.var in
-  let line_db = line_graph_db in
-  let db = line_db (if quick then 30 else 80) in
-  (* adversarial atom order: the textual order starts with a cross product,
-     which greedy sideways-information-passing avoids *)
-  let scrambled =
-    R.Cq.make
-      ~head:[ v "x0" ]
-      ~body:
-        (List.map
-           (fun (i, j) ->
-             R.Atom.make "e" [ v (Printf.sprintf "x%d" i); v (Printf.sprintf "x%d" j) ])
-           [ (2, 3); (0, 1); (3, 4); (1, 2) ])
-      ()
-  in
-  series "CQ evaluation: greedy SIP vs textual atom order (scrambled 4-chain)"
-    [
-      ("indexed", measure (fun () -> ignore (R.Cq.eval ~strategy:`Indexed scrambled db)));
-      ("greedy", measure (fun () -> ignore (R.Cq.eval ~strategy:`Greedy scrambled db)));
-      ("naive", measure (fun () -> ignore (R.Cq.eval ~strategy:`Naive scrambled db)));
-    ];
   (* containment with <> *)
   let q1 =
     R.Cq.make ~head:[ v "x" ]
@@ -1032,28 +909,6 @@ let ablations () =
   row "frozen-only verdict %b vs partition verdict %b on the <> pair"
     (R.Cq.contained_in_frozen_only q1 q2)
     (R.Cq.contained_in q1 q2);
-  (* datalog strategies *)
-  let tc =
-    Datalog.Dl.make
-      [
-        Datalog.Dl.plain_rule "tc" [ v "x"; v "y" ] [ R.Atom.make "e" [ v "x"; v "y" ] ];
-        Datalog.Dl.plain_rule "tc" [ v "x"; v "z" ]
-          [ R.Atom.make "e" [ v "x"; v "y" ]; R.Atom.make "tc" [ v "y"; v "z" ] ];
-      ]
-  in
-  let db =
-    let base = line_db (if quick then 20 else 60) in
-    R.Database.set "tc" (R.Relation.empty 2)
-      (R.Database.fold
-         (fun n r acc -> R.Database.set n r acc)
-         base
-         (R.Database.empty (R.Schema.of_list [ ("e", 2); ("tc", 2) ])))
-  in
-  series "datalog fixpoint: semi-naive vs naive (transitive closure of a line)"
-    [
-      ("semi-naive", measure (fun () -> ignore (Datalog.Seminaive.eval ~strategy:`Seminaive tc db)));
-      ("naive", measure (fun () -> ignore (Datalog.Seminaive.eval ~strategy:`Naive tc db)));
-    ];
   (* FO evaluation: atom-driven all-solutions search vs the naive
      active-domain product *)
   let fig_db =
@@ -1811,6 +1666,8 @@ module Antichain_bench = struct
     | `Antichain -> (
       match Lang.equivalent a b with Ok v -> v | Error _ -> assert false)
 
+  let label = function `Eager -> "eager" | `Antichain -> "antichain"
+
   let cex_len strategy (a, b) =
     match strategy with
     | `Eager -> Option.map List.length (Dfa.nfa_contains_cex a b)
@@ -1859,7 +1716,7 @@ module Antichain_bench = struct
               in
               Hashtbl.replace results s ((k, ms) :: Hashtbl.find results s);
               row "%-9s k = %2d   %10.3f ms%s"
-                (Lang.strategy_to_string s)
+                (label s)
                 k ms
                 (if ms > cap_ms then "   (wall: over budget, stopping)"
                  else "");
@@ -2187,7 +2044,6 @@ let () =
     table2_uc2rpq ();
     table2_undecidable ();
     figure1 ();
-    join_strategy_ablation ();
     engine_cache_ablation ();
     representation_ablation ();
     parallel_scaling ();

@@ -94,18 +94,6 @@ let snapshot_flag =
            the persisted caches instead of recomputing.  Answers are \
            identical either way.")
 
-(* --strategy: which language engine decides containment/equivalence. *)
-let strategy_flag =
-  Arg.(
-    value
-    & opt (enum [ ("antichain", `Antichain); ("eager", `Eager) ]) `Antichain
-    & info [ "strategy" ] ~docv:"ENGINE"
-        ~doc:
-          "Language-decision engine: $(b,antichain) (default) explores the \
-           product lazily with antichain subsumption and never builds the \
-           full subset automaton; $(b,eager) determinizes first (the \
-           reference implementation).  Verdicts are identical.")
-
 (* Witness words as compact strings: messages are assignments over the
    input variables, rendered one char each — 'a'+i for the one-hot mask
    of variable i ('#' when that variable is the Roman session delimiter),
@@ -209,7 +197,7 @@ let regex_arg name =
     & info [ name ] ~docv:"REGEX"
         ~doc:"Regular expression over letters a..z ('0' empty, '1' epsilon).")
 
-let check stats trace jobs cache_cap snapshot strategy regex_s =
+let check stats trace jobs cache_cap snapshot regex_s =
   with_obs ~stats ~trace ~jobs ~cache_cap ~snapshot @@ fun () ->
   match Regex.parse regex_s with
   | exception Regex.Parse_error m ->
@@ -228,7 +216,7 @@ let check stats trace jobs cache_cap snapshot strategy regex_s =
     | Decision.No -> Fmt.pr "non-emptiness: No@."
     | Decision.Exhausted e ->
       Fmt.pr "non-emptiness: exhausted (%a)@." Engine.pp_exhausted e);
-    (match Decision.pl_validation ~strategy sws ~output:false with
+    (match Decision.pl_validation sws ~output:false with
     | Decision.Yes w ->
       Fmt.pr "validation (output false): Yes (rejected word: %S)@."
         (word_string sws w)
@@ -242,13 +230,13 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       const check $ stats_flag $ trace_flag $ jobs_flag $ cache_cap_flag
-      $ snapshot_flag $ strategy_flag $ regex_arg "regex")
+      $ snapshot_flag $ regex_arg "regex")
 
 (* ------------------------------------------------------------------ *)
 (* equivalence                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let equivalence stats trace jobs cache_cap snapshot strategy left right =
+let equivalence stats trace jobs cache_cap snapshot left right =
   with_obs ~stats ~trace ~jobs ~cache_cap ~snapshot @@ fun () ->
   match Regex.parse left, Regex.parse right with
   | exception Regex.Parse_error m ->
@@ -258,7 +246,7 @@ let equivalence stats trace jobs cache_cap snapshot strategy left right =
     let alphabet_size = alphabet_size_of [ rl; rr ] in
     let sl = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size rl) in
     let sr = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size rr) in
-    (match Decision.pl_equivalence ~strategy sl sr with
+    (match Decision.pl_equivalence sl sr with
     | Decision.Equivalent -> Fmt.pr "equivalent@."
     | Decision.Inequivalent w ->
       Fmt.pr "inequivalent (distinguishing sequence of %d messages: %S)@."
@@ -273,13 +261,13 @@ let equivalence_cmd =
     (Cmd.info "equivalence" ~doc)
     Term.(
       const equivalence $ stats_flag $ trace_flag $ jobs_flag $ cache_cap_flag
-      $ snapshot_flag $ strategy_flag $ regex_arg "left" $ regex_arg "right")
+      $ snapshot_flag $ regex_arg "left" $ regex_arg "right")
 
 (* ------------------------------------------------------------------ *)
 (* compose                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let compose stats trace jobs cache_cap snapshot strategy goal views =
+let compose stats trace jobs cache_cap snapshot goal views =
   with_obs ~stats ~trace ~jobs ~cache_cap ~snapshot @@ fun () ->
   match Regex.parse goal, List.map Regex.parse views with
   | exception Regex.Parse_error m ->
@@ -299,7 +287,7 @@ let compose stats trace jobs cache_cap snapshot strategy goal views =
                        Nfa.of_regex ~alphabet_size r))
           view_rs
       in
-      (match Compose.compose_nfa_or ~strategy ~goal:goal_nfa ~components () with
+      (match Compose.compose_nfa_or ~goal:goal_nfa ~components () with
       | Some { Compose.exact; mediator; component_names } ->
         Fmt.pr "%s MDT(∨) mediator found (%d states).@."
           (if exact then "equivalent" else "maximally-contained (not equivalent)")
@@ -326,7 +314,7 @@ let compose_cmd =
     (Cmd.info "compose" ~doc)
     Term.(
       const compose $ stats_flag $ trace_flag $ jobs_flag $ cache_cap_flag
-      $ snapshot_flag $ strategy_flag $ regex_arg "goal"
+      $ snapshot_flag $ regex_arg "goal"
       $ Arg.(
           value & opt_all string []
           & info [ "view" ] ~docv:"REGEX" ~doc:"Available service (repeatable)."))
@@ -426,7 +414,7 @@ let analyze_cmd =
 (* explain: run the decision procedures and report their provenance     *)
 (* ------------------------------------------------------------------ *)
 
-let explain stats trace jobs cache_cap snapshot strategy json against regex_s =
+let explain stats trace jobs cache_cap snapshot json against regex_s =
   with_obs ~stats ~trace ~jobs ~cache_cap ~snapshot @@ fun () ->
   match Regex.parse regex_s, Option.map Regex.parse against with
   | exception Regex.Parse_error m ->
@@ -440,14 +428,14 @@ let explain stats trace jobs cache_cap snapshot strategy json against regex_s =
     in
     let sws = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size regex) in
     ignore (Decision.pl_non_emptiness sws);
-    ignore (Decision.pl_validation ~strategy sws ~output:false);
+    ignore (Decision.pl_validation sws ~output:false);
     if not (Sws_pl.is_recursive sws) then
       ignore (Decision.pl_nr_non_emptiness sws);
     (match against_r with
     | None -> ()
     | Some r ->
       let other = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size r) in
-      (match Decision.pl_equivalence ~strategy sws other with
+      (match Decision.pl_equivalence sws other with
       | Decision.Equivalent ->
         Fmt.pr "against %s: equivalent@." (Option.get against)
       | Decision.Inequivalent w ->
@@ -474,7 +462,7 @@ let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
       const explain $ stats_flag $ trace_flag $ jobs_flag $ cache_cap_flag
-      $ snapshot_flag $ strategy_flag
+      $ snapshot_flag
       $ Arg.(
           value & flag
           & info [ "json" ]

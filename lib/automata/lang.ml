@@ -19,15 +19,6 @@
 
 module Iset = Repr.Bitset
 
-type strategy = [ `Eager | `Antichain ]
-
-let strategy_to_string = function `Eager -> "eager" | `Antichain -> "antichain"
-
-let strategy_of_string = function
-  | "eager" -> Some `Eager
-  | "antichain" -> Some `Antichain
-  | _ -> None
-
 type limits = {
   max_states : int option;
   max_depth : int option;
@@ -178,42 +169,35 @@ let check_alphabets a b =
   if Nfa.alphabet_size a <> Nfa.alphabet_size b then
     invalid_arg "Lang: alphabet size mismatch"
 
-(* The eager reference arm: full determinization, then a shortest word of
-   the difference DFA.  Unmetered — a completed answer under any budget
-   is sound (budgets bound work, they never forbid an answer). *)
-let eager_contains_cex ~sup ~sub = Dfa.nfa_contains_cex sup sub
-
-let contains_cex ?(strategy = `Antichain) ?(limits = no_limits) ?tick sup sub =
+let contains_cex ?(limits = no_limits) ?tick sup sub =
   check_alphabets sup sub;
   Obs.Trace.span "lang.contains" @@ fun () ->
-  match strategy with
-  | `Eager -> Ok (eager_contains_cex ~sup ~sub)
-  | `Antichain -> antichain_contains_cex ~limits ?tick ~sup ~sub ()
+  antichain_contains_cex ~limits ?tick ~sup ~sub ()
 
-let contains ?strategy ?limits ?tick sup sub =
-  Result.map Option.is_none (contains_cex ?strategy ?limits ?tick sup sub)
+let contains ?limits ?tick sup sub =
+  Result.map Option.is_none (contains_cex ?limits ?tick sup sub)
 
-let equivalent_cex ?strategy ?limits ?tick n1 n2 =
+let equivalent_cex ?limits ?tick n1 n2 =
   Obs.Trace.span "lang.equivalent" @@ fun () ->
-  match contains_cex ?strategy ?limits ?tick n2 n1 with
+  match contains_cex ?limits ?tick n2 n1 with
   | Ok (Some w) -> Ok (Some w)
   | Error _ as e -> e
-  | Ok None -> contains_cex ?strategy ?limits ?tick n1 n2
+  | Ok None -> contains_cex ?limits ?tick n1 n2
 
-let equivalent ?strategy ?limits ?tick n1 n2 =
-  Result.map Option.is_none (equivalent_cex ?strategy ?limits ?tick n1 n2)
+let equivalent ?limits ?tick n1 n2 =
+  Result.map Option.is_none (equivalent_cex ?limits ?tick n1 n2)
 
 let universal_nfa alphabet_size =
   Nfa.create ~num_states:1 ~alphabet_size ~starts:[ 0 ] ~finals:[ 0 ]
     ~edges:(List.init alphabet_size (fun a -> (0, a, 0)))
     ~eps_edges:[]
 
-let universal_cex ?strategy ?limits ?tick n =
+let universal_cex ?limits ?tick n =
   Obs.Trace.span "lang.universal" @@ fun () ->
-  contains_cex ?strategy ?limits ?tick n (universal_nfa (Nfa.alphabet_size n))
+  contains_cex ?limits ?tick n (universal_nfa (Nfa.alphabet_size n))
 
-(* Metered emptiness: reachability fixpoint on eps-closed state sets.
-   Strategy-independent — neither arm determinizes. *)
+(* Metered emptiness: reachability fixpoint on eps-closed state sets,
+   no determinization. *)
 let is_empty ?(limits = no_limits) ?tick n =
   Obs.Trace.span "lang.is_empty" @@ fun () ->
   let k = Nfa.alphabet_size n in

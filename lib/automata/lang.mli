@@ -13,21 +13,14 @@
     the-end NFAs whose minimal DFA needs [2^k] states) the frontier stays
     polynomial where determinization walls out.
 
-    Every procedure takes a {!strategy}: [`Antichain] is the lazy core,
-    [`Eager] delegates to the determinizing reference implementation in
-    {!Dfa} — the two are differentially tested and benchable side by side.
-    Exploration is sequential and deterministic: verdicts and witness
-    words are identical at every domain-pool size. *)
+    This is the only language engine.  The determinizing procedures of
+    {!Dfa} ([nfa_contains_cex], [nfa_equivalent]) are its test oracle,
+    not an alternative to it.  Exploration is sequential and
+    deterministic: verdicts and witness words are identical at every
+    domain-pool size. *)
 
-type strategy = [ `Eager | `Antichain ]
-
-val strategy_to_string : strategy -> string
-val strategy_of_string : string -> strategy option
-
-(** Exploration limits ([None] = unlimited).  The antichain arm checks
-    them as it explores; the eager arm is a monolithic subset construction
-    that cannot stop mid-way, so it ignores limits and always answers
-    (budgets bound work, they never forbid a completed answer). *)
+(** Exploration limits ([None] = unlimited), checked as the engine
+    explores. *)
 type limits = {
   max_states : int option;  (** product pairs expanded *)
   max_depth : int option;  (** BFS depth = witness word length *)
@@ -56,7 +49,6 @@ type 'a run = ('a, trip) result
     once per expanded pair (the caller's stats hook).  Raises
     [Invalid_argument] when the alphabets differ. *)
 val contains_cex :
-  ?strategy:strategy ->
   ?limits:limits ->
   ?tick:(unit -> unit) ->
   Nfa.t ->
@@ -64,7 +56,6 @@ val contains_cex :
   int list option run
 
 val contains :
-  ?strategy:strategy ->
   ?limits:limits ->
   ?tick:(unit -> unit) ->
   Nfa.t ->
@@ -77,7 +68,6 @@ val contains :
     the witness is a shortest word of the first non-empty difference —
     the convention of {!Dfa.distinguishing_word}. *)
 val equivalent_cex :
-  ?strategy:strategy ->
   ?limits:limits ->
   ?tick:(unit -> unit) ->
   Nfa.t ->
@@ -85,7 +75,6 @@ val equivalent_cex :
   int list option run
 
 val equivalent :
-  ?strategy:strategy ->
   ?limits:limits ->
   ?tick:(unit -> unit) ->
   Nfa.t ->
@@ -96,21 +85,20 @@ val equivalent :
     with [w] a shortest rejected word otherwise — containment of the
     one-state universal automaton in [n]. *)
 val universal_cex :
-  ?strategy:strategy ->
   ?limits:limits ->
   ?tick:(unit -> unit) ->
   Nfa.t ->
   int list option run
 
-(** Metered emptiness (strategy-independent: a reachability fixpoint on
-    eps-closed state sets, no determinization either way). *)
+(** Metered emptiness: a reachability fixpoint on eps-closed state sets,
+    no determinization. *)
 val is_empty : ?limits:limits -> ?tick:(unit -> unit) -> Nfa.t -> bool run
 
 (** {1 Process-wide gauges}  Read at snapshot time by [Engine.Stats] and
     the server's telemetry registry, like the interner and bit-set
     gauges: no per-sink plumbing, monotone except {!antichain_peak}. *)
 
-(** Product pairs expanded by the antichain arm since process start. *)
+(** Product pairs expanded since process start. *)
 val states_explored_total : unit -> int
 
 (** Largest kept-pair count any single exploration reached. *)

@@ -126,12 +126,12 @@ type pl_composition = {
 (* Goal and components as languages; returns the mediator automaton when an
    equivalent MDT(∨) mediator exists, and the maximally-contained one (or
    None) otherwise. *)
-let compose_or_nfa ?strategy ~goal ~components () =
+let compose_or_nfa ~goal ~components () =
   let views =
     List.map (fun (_, nfa) -> minimal_prefix_nfa nfa) components
   in
   let names = List.map fst components in
-  match Regex_rewrite.rewrite ?strategy ~target:goal ~views () with
+  match Regex_rewrite.rewrite ~target:goal ~views () with
   | Regex_rewrite.Exact m ->
     Some { mediator = m; component_names = names; exact = true }
   | Regex_rewrite.Maximal m ->
@@ -215,13 +215,12 @@ let () = Pl_or_memo.persist_marshal pl_or_store ~tag:"compose/pl_or"
 (* CP(SWS(PL, PL), MDT(∨), SWS(PL, PL)) with a PL goal service.  The
    exactness check (closed expansion equivalent to the goal) runs on the
    lazy engine: the closed expansion is the spliced view NFA and is never
-   determinized under [`Antichain]. *)
-let compose_pl_or ?(strategy = `Antichain) ~goal ~components () =
+   determinized. *)
+let compose_pl_or ~goal ~components () =
   Pl_or_memo.run pl_or_store ~name:"compose_pl_or"
     ~key:
       (key "comp_pl_or"
-         (Lang.strategy_to_string strategy
-         :: Sws_pl.canonical_repr goal
+         (Sws_pl.canonical_repr goal
          :: component_parts Sws_pl.canonical_repr components))
     ~outcome:(fun r -> compose_outcome (Option.is_some r))
     ~cacheable:(fun _ -> true)
@@ -243,7 +242,7 @@ let compose_pl_or ?(strategy = `Antichain) ~goal ~components () =
       Nfa.concat (Regex_rewrite.expansion ~views m) (universal_nfa alphabet_size)
     in
     let exact =
-      match Lang.equivalent ~strategy closed_expansion (Dfa.to_nfa goal_dfa) with
+      match Lang.equivalent closed_expansion (Dfa.to_nfa goal_dfa) with
       | Ok b -> b
       | Error _ -> assert false (* no limits: the exploration never trips *)
     in
@@ -252,19 +251,18 @@ let compose_pl_or ?(strategy = `Antichain) ~goal ~components () =
 
 (* CP(NFA/DFA, MDT(∨), SWS(PL, PL)): the Roman-model goals of
    Theorem 5.3(2). *)
-let compose_nfa_or ?(strategy = `Antichain) ~goal ~components () =
+let compose_nfa_or ~goal ~components () =
   Pl_or_memo.run pl_or_store ~name:"compose_nfa_or"
     ~key:
       (key "comp_nfa_or"
-         (Lang.strategy_to_string strategy
-         :: Nfa.canonical_repr goal
+         (Nfa.canonical_repr goal
          :: component_parts Nfa.canonical_repr components))
     ~outcome:(fun r -> compose_outcome (Option.is_some r))
     ~cacheable:(fun _ -> true)
   @@ fun () ->
   Engine.run ~name:"compose_nfa_or"
     ~outcome:(fun r -> compose_outcome (Option.is_some r))
-  @@ fun () -> compose_or_nfa ~strategy ~goal ~components ()
+  @@ fun () -> compose_or_nfa ~goal ~components ()
 
 (* ------------------------------------------------------------------ *)
 (* MDT_b(PL): bounded boolean-combination search (Theorem 5.3(3))        *)
@@ -284,26 +282,9 @@ let rec pp_plan ppf = function
   | Inter (a, b) -> Fmt.pf ppf "(%a & %a)" pp_plan a pp_plan b
   | Minus (a, b) -> Fmt.pf ppf "(%a \\ %a)" pp_plan a pp_plan b
 
-let rec plan_language ~env ~alphabet_size = function
-  | Invoke n -> List.assoc n env
-  | Chain ps ->
-    List.fold_left
-      (fun acc p ->
-        Dfa.of_nfa
-          (Nfa.concat (Dfa.to_nfa acc)
-             (Dfa.to_nfa (plan_language ~env ~alphabet_size p))))
-      (Dfa.of_nfa (Nfa.epsilon alphabet_size))
-      ps
-  | Union (a, b) ->
-    Dfa.union (plan_language ~env ~alphabet_size a) (plan_language ~env ~alphabet_size b)
-  | Inter (a, b) ->
-    Dfa.inter (plan_language ~env ~alphabet_size a) (plan_language ~env ~alphabet_size b)
-  | Minus (a, b) ->
-    Dfa.diff (plan_language ~env ~alphabet_size a) (plan_language ~env ~alphabet_size b)
-
-(* NFA-level plan language for the lazy arm: chains and unions stay
-   nondeterministic, so only [Minus] (which needs complementation) ever
-   determinizes — and then only its two operands, never the whole plan. *)
+(* The language a plan denotes.  Chains and unions stay nondeterministic,
+   so only [Minus] (which needs complementation) ever determinizes — and
+   then only its two operands, never the whole plan. *)
 let rec plan_language_nfa ~env ~alphabet_size = function
   | Invoke n -> List.assoc n env
   | Chain ps ->
@@ -372,11 +353,11 @@ let cacheable_mdtb = function
    bounded number of times and synthesis sizes are bounded — here realized
    as chains of length <= the budget's depth combined by one boolean
    operation.  The equivalence check against the goal language is exact
-   (DFA equivalence), so a [Found] answer is a real mediator and the
-   search is complete over the plan space it enumerates; each candidate
-   plan costs one budget node. *)
-let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
-    ?(strategy = `Antichain) ~goal ~components () =
+   (lazy language equivalence), so a [Found] answer is a real mediator and
+   the search is complete over the plan space it enumerates; each
+   candidate plan costs one budget node. *)
+let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2) ~goal ~components
+    () =
   let bound =
     match budget.Engine.Budget.max_depth with Some d -> d | None -> 2
   in
@@ -391,7 +372,6 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
     ~key:
       (key "comp_mdtb"
          (string_of_int bound
-         :: Lang.strategy_to_string strategy
          :: Nfa.canonical_repr goal
          :: component_parts Nfa.canonical_repr components))
     ~outcome:mdtb_outcome ~cacheable:cacheable_mdtb
@@ -413,103 +393,85 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
             base_chains)
         base_chains
   in
-  (* The per-plan equivalence check against the goal language.  The eager
-     arm minimizes everything up front and compares DFAs; the lazy arm
-     keeps the goal an NFA — its closure memo is warmed before the
-     parallel rounds so worker domains only read it — and runs the
-     antichain product per plan.
+  (* The per-plan equivalence check against the goal language keeps the
+     goal an NFA — its closure memo is warmed before the parallel rounds
+     so worker domains only read it — and runs the antichain product per
+     plan.
 
-     Every candidate combines at most two base chains, so the lazy arm
-     memoizes each chain's NFA (and, for [Minus] operands, its minimized
-     DFA: same language, smaller difference product) for the rest of the
-     call instead of rebuilding both operands per candidate.  The memo
-     fills on first use: a search whose budget trips after a plan or two
-     builds only those plans' chains.  [prefill] forces a plan's entries;
-     the search calls it sequentially on a whole round before handing the
-     round to the pool, so worker domains only read the memo (and the
-     chains' warmed closures).
+     Every candidate combines at most two base chains, so each chain's NFA
+     (and, for [Minus] operands, its minimized DFA: same language, smaller
+     difference product) is memoized for the rest of the call instead of
+     rebuilding both operands per candidate.  The memo fills on first use:
+     a search whose budget trips after a plan or two builds only those
+     plans' chains.  [prefill] forces a plan's entries; the search calls it
+     sequentially on a whole round before handing the round to the pool,
+     so worker domains only read the memo (and the chains' warmed
+     closures).
 
      Most candidates differ from the goal on a short word, and one such
-     word refutes many plans.  So the lazy arm keeps the counterexamples
-     of the plans it has refuted as test words, each with the goal's
-     verdict on it, and [refute]s a candidate that disagrees with the
-     goal on one of them before building its product: that word lies in
-     the symmetric difference of the two languages, so the refutation is
-     exact.  A plan's verdict on a word combines its chains' verdicts
-     ([Nfa.accepts] on the memoized chain NFA, memoized per chain and
-     word) by [plan_accepts].  Only survivors get a product and an exact
-     check ([check]), whose counterexample is [learn]ed.  [refute] and
-     [learn] run on the calling domain only. *)
-  let refute, prefill, check, learn =
-    match strategy with
-    | `Eager ->
-      let env =
-        List.map
-          (fun (n, c) -> (n, Dfa.minimize (Dfa.of_nfa (minimal_prefix_nfa c))))
-          components
-      in
-      let goal_dfa = Dfa.minimize (Dfa.of_nfa goal) in
-      ( Fun.const false,
-        ignore,
-        (fun plan ->
-          try
-            if Dfa.equivalent (plan_language ~env ~alphabet_size plan) goal_dfa
-            then `Equivalent
-            else `Differs None
-          with Not_found -> `Differs None),
-        ignore )
-    | `Antichain ->
-      let env = List.map (fun (n, c) -> (n, minimal_prefix_nfa c)) components in
-      Nfa.warm_closures goal;
-      List.iter (fun (_, n) -> Nfa.warm_closures n) env;
-      let memo tbl build key =
-        match Hashtbl.find_opt tbl key with
-        | Some v -> v
-        | None ->
-          let v = build key in
-          Hashtbl.add tbl key v;
-          v
-      in
-      let nfas = Hashtbl.create 16 and dfas = Hashtbl.create 16 in
-      let chain_nfa =
-        memo nfas (fun c ->
-            let n = plan_language_nfa ~env ~alphabet_size c in
-            Nfa.warm_closures n;
-            n)
-      in
-      let chain_dfa c =
-        memo dfas (fun c -> Dfa.minimize (Dfa.of_nfa (chain_nfa c))) c
-      in
-      (* [plan_language_nfa] on a candidate, with its chains memoized. *)
-      let plan_nfa = function
-        | Union (a, b) -> Nfa.union (chain_nfa a) (chain_nfa b)
-        | Inter (a, b) -> Nfa.inter (chain_nfa a) (chain_nfa b)
-        | Minus (a, b) -> Dfa.to_nfa (Dfa.diff (chain_dfa a) (chain_dfa b))
-        | (Invoke _ | Chain _) as c -> chain_nfa c
-      in
-      (* Test words with the goal's verdict on each, newest first. *)
-      let tests = ref [] and verdicts = Hashtbl.create 64 in
-      let chain_accepts w c =
-        memo verdicts (fun (c, w) -> Nfa.accepts (chain_nfa c) w) (c, w)
-      in
-      ( (fun plan ->
-          List.exists
-            (fun (w, goal_accepts) ->
-              plan_accepts ~chain_accepts:(chain_accepts w) plan <> goal_accepts)
-            !tests),
-        (function
-        | Union (a, b) | Inter (a, b) -> ignore (chain_nfa a, chain_nfa b)
-        | Minus (a, b) -> ignore (chain_dfa a, chain_dfa b)
-        | (Invoke _ | Chain _) as c -> ignore (chain_nfa c)),
-        (fun plan ->
-          try
-            match Lang.equivalent_cex (plan_nfa plan) goal with
-            | Ok None -> `Equivalent
-            | Ok (Some w) -> `Differs (Some w)
-            | Error _ -> assert false (* no limits *)
-          with Not_found -> `Differs None),
-        fun w -> tests := (w, Nfa.accepts goal w) :: !tests )
+     word refutes many plans.  So the search keeps the counterexamples of
+     the plans it has refuted as test words, each with the goal's verdict
+     on it, and [refute]s a candidate that disagrees with the goal on one
+     of them before building its product: that word lies in the symmetric
+     difference of the two languages, so the refutation is exact.  A
+     plan's verdict on a word combines its chains' verdicts ([Nfa.accepts]
+     on the memoized chain NFA, memoized per chain and word) by
+     [plan_accepts].  Only survivors get a product and an exact check
+     ([check]), whose counterexample is [learn]ed.  [refute] and [learn]
+     run on the calling domain only. *)
+  let env = List.map (fun (n, c) -> (n, minimal_prefix_nfa c)) components in
+  Nfa.warm_closures goal;
+  List.iter (fun (_, n) -> Nfa.warm_closures n) env;
+  let memo tbl build key =
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
+    | None ->
+      let v = build key in
+      Hashtbl.add tbl key v;
+      v
   in
+  let nfas = Hashtbl.create 16 and dfas = Hashtbl.create 16 in
+  let chain_nfa =
+    memo nfas (fun c ->
+        let n = plan_language_nfa ~env ~alphabet_size c in
+        Nfa.warm_closures n;
+        n)
+  in
+  let chain_dfa c =
+    memo dfas (fun c -> Dfa.minimize (Dfa.of_nfa (chain_nfa c))) c
+  in
+  (* [plan_language_nfa] on a candidate, with its chains memoized. *)
+  let plan_nfa = function
+    | Union (a, b) -> Nfa.union (chain_nfa a) (chain_nfa b)
+    | Inter (a, b) -> Nfa.inter (chain_nfa a) (chain_nfa b)
+    | Minus (a, b) -> Dfa.to_nfa (Dfa.diff (chain_dfa a) (chain_dfa b))
+    | (Invoke _ | Chain _) as c -> chain_nfa c
+  in
+  (* Test words with the goal's verdict on each, newest first. *)
+  let tests = ref [] and verdicts = Hashtbl.create 64 in
+  let chain_accepts w c =
+    memo verdicts (fun (c, w) -> Nfa.accepts (chain_nfa c) w) (c, w)
+  in
+  let refute plan =
+    List.exists
+      (fun (w, goal_accepts) ->
+        plan_accepts ~chain_accepts:(chain_accepts w) plan <> goal_accepts)
+      !tests
+  in
+  let prefill = function
+    | Union (a, b) | Inter (a, b) -> ignore (chain_nfa a, chain_nfa b)
+    | Minus (a, b) -> ignore (chain_dfa a, chain_dfa b)
+    | (Invoke _ | Chain _) as c -> ignore (chain_nfa c)
+  in
+  let check plan =
+    try
+      match Lang.equivalent_cex (plan_nfa plan) goal with
+      | Ok None -> `Equivalent
+      | Ok (Some w) -> `Differs (Some w)
+      | Error _ -> assert false (* no limits *)
+    with Not_found -> `Differs None
+  in
+  let learn w = tests := (w, Nfa.accepts goal w) :: !tests in
   (* Round-based search: the budget is checked before each round and every
      plan of a round is ticked and tested — on the domain pool when several
      jobs are configured.  With one job the round size is 1, which is
@@ -566,8 +528,8 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2)
   in
   search candidates
 
-let compose_mdtb_pl ?stats ?budget ?strategy ~goal ~components () =
-  compose_mdtb ?stats ?budget ?strategy ~goal:(pl_language_nfa ?stats goal)
+let compose_mdtb_pl ?stats ?budget ~goal ~components () =
+  compose_mdtb ?stats ?budget ~goal:(pl_language_nfa ?stats goal)
     ~components:(List.map (fun (n, c) -> (n, pl_language_nfa ?stats c)) components)
     ()
 

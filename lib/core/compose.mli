@@ -40,11 +40,8 @@ type pl_composition = {
 }
 
 (** Language-level synthesis for a regular goal (the Roman/NFA/DFA goals of
-    Theorem 5.3(2)).  [strategy] (default [`Antichain]) selects the
-    engine for the exactness check; both arms are decisive, so it never
-    changes a verdict, only how it is computed. *)
+    Theorem 5.3(2)).  The exactness check runs on {!Automata.Lang}. *)
 val compose_or_nfa :
-  ?strategy:Automata.Lang.strategy ->
   goal:Automata.Nfa.t ->
   components:(string * Automata.Nfa.t) list ->
   unit ->
@@ -53,14 +50,12 @@ val compose_or_nfa :
 (** CP(SWS(PL,PL), MDT(∨), SWS(PL,PL)) with the trailing-closure equation
     for service goals. *)
 val compose_pl_or :
-  ?strategy:Automata.Lang.strategy ->
   goal:Sws_pl.t ->
   components:(string * Sws_pl.t) list ->
   unit ->
   pl_composition option
 
 val compose_nfa_or :
-  ?strategy:Automata.Lang.strategy ->
   goal:Automata.Nfa.t ->
   components:(string * Automata.Nfa.t) list ->
   unit ->
@@ -78,12 +73,8 @@ type plan =
 val pp_plan : plan Fmt.t
 
 (** The language a plan denotes, given each component's (minimal-prefix)
-    language. *)
-val plan_language :
-  env:(string * Automata.Dfa.t) list -> alphabet_size:int -> plan -> Automata.Dfa.t
-
-(** The same language kept nondeterministic (the lazy arm's plan side):
-    only [Minus] determinizes, and only its own operands. *)
+    language, kept nondeterministic: only [Minus] determinizes, and only
+    its own operands. *)
 val plan_language_nfa :
   env:(string * Automata.Nfa.t) list -> alphabet_size:int -> plan -> Automata.Nfa.t
 
@@ -101,9 +92,8 @@ type bounded_result =
 (** CP(·, MDT_b(PL), ·): exact language equivalence over the enumerated
     plan space.  The budget's depth is the chain-length bound (default 2,
     replacing the old [bound] integer); each candidate plan costs one
-    budget node.  Under [`Antichain] (default) the goal is never
-    determinized — each plan is checked by lazy product exploration, and
-    only if it agrees with the goal on every test word: the
+    budget node.  The goal is never determinized — each plan is checked
+    by lazy product exploration on {!Automata.Lang}, and only if it agrees with the goal on every test word: the
     counterexamples that refuted earlier plans of the same call.  A plan
     that disagrees on one is refuted exactly (the word lies in the
     symmetric difference), so the answer and every [Exhausted] record are
@@ -111,7 +101,6 @@ type bounded_result =
 val compose_mdtb :
   ?stats:Engine.Stats.t ->
   ?budget:Engine.Budget.t ->
-  ?strategy:Automata.Lang.strategy ->
   goal:Automata.Nfa.t ->
   components:(string * Automata.Nfa.t) list ->
   unit ->
@@ -120,7 +109,6 @@ val compose_mdtb :
 val compose_mdtb_pl :
   ?stats:Engine.Stats.t ->
   ?budget:Engine.Budget.t ->
-  ?strategy:Automata.Lang.strategy ->
   goal:Sws_pl.t ->
   components:(string * Sws_pl.t) list ->
   unit ->

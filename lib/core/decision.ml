@@ -127,21 +127,11 @@ let relation_repr r =
   |> fun rows ->
   string_of_int (Relational.Relation.arity r) ^ ":" ^ String.concat ";" rows
 
-let strategy_repr = function
-  | None -> "-"
-  | Some `Naive -> "naive"
-  | Some `Greedy -> "greedy"
-  | Some `Indexed -> "indexed"
-
 (* ------------------------------------------------------------------ *)
-(* Language-engine strategy plumbing                                   *)
+(* Language-engine plumbing                                            *)
 (*                                                                     *)
 (* The PL procedures decide language questions through                 *)
-(* [Automata.Lang]: [`Antichain] (default) explores lazily under the   *)
-(* caller's budget, [`Eager] determinizes through the memoized         *)
-(* [Sws_pl.language_dfa] chain and is always decisive.  The memo keys  *)
-(* carry the strategy, so the two engines never serve each other's     *)
-(* entries and stay differentially testable through the cache.         *)
+(* [Automata.Lang], which explores lazily under the caller's budget.   *)
 (* ------------------------------------------------------------------ *)
 
 module Lang = Automata.Lang
@@ -207,14 +197,13 @@ let pl_non_emptiness ?stats sws =
    coincides with non-emptiness (as the paper remarks); O = false asks for a
    rejected sequence — note the empty sequence is always rejected, so the
    interesting check is universality of the complement. *)
-let pl_validation ?stats ?(strategy = `Antichain) ?budget sws ~output =
+let pl_validation ?stats ?budget sws ~output =
   let budget_v = Option.value budget ~default:Engine.Budget.unlimited in
   Pl_word_memo.run pl_word_store ?stats ~budget:budget_v ~name:"pl_validation"
     ~key:
       (key "pl_val"
          [
            (if output then "t" else "f");
-           Lang.strategy_to_string strategy;
            Sws_pl.canonical_repr sws;
          ])
     ~outcome:run_outcome ~cacheable:cacheable_outcome
@@ -227,62 +216,41 @@ let pl_validation ?stats ?(strategy = `Antichain) ?budget sws ~output =
   end
   else begin
     (* O = false asks for a rejected sequence: non-universality of the
-       language.  The eager arm complements the full DFA; the antichain
-       arm never determinizes. *)
-    match strategy with
-    | `Eager -> (
-      let dfa = Sws_pl.language_dfa ?stats sws in
-      match Dfa.shortest_word (Dfa.complement dfa) with
-      | Some w -> Yes (decode_word sws w)
-      | None -> No)
-    | `Antichain -> (
-      let nfa = Sws_pl.language_nfa ?stats sws in
-      match
-        Lang.universal_cex ~limits:(limits_of_budget budget_v)
-          ?tick:(lang_tick stats) nfa
-      with
-      | Ok (Some w) -> Yes (decode_word sws w)
-      | Ok None -> No
-      | Error t -> Exhausted (exhausted_of_trip ~name:"pl_validation" t))
+       language, decided without determinizing. *)
+    let nfa = Sws_pl.language_nfa ?stats sws in
+    match
+      Lang.universal_cex ~limits:(limits_of_budget budget_v)
+        ?tick:(lang_tick stats) nfa
+    with
+    | Ok (Some w) -> Yes (decode_word sws w)
+    | Ok None -> No
+    | Error t -> Exhausted (exhausted_of_trip ~name:"pl_validation" t)
   end
 
 (* Equivalence: same outputs on all databases (trivial here) and inputs,
    i.e. language equivalence of the two translations.  The services must
    agree on their input variables; re-declare them if needed. *)
-let pl_equivalence ?stats ?(strategy = `Antichain) ?budget sws1 sws2 =
+let pl_equivalence ?stats ?budget sws1 sws2 =
   if Sws_pl.input_vars sws1 <> Sws_pl.input_vars sws2 then
     invalid_arg "pl_equivalence: services declare different input variables";
   let budget_v = Option.value budget ~default:Engine.Budget.unlimited in
   Pl_word_equiv_memo.run pl_word_equiv_store ?stats ~budget:budget_v
     ~name:"pl_equivalence"
     ~key:
-      (key "pl_eq"
-         [
-           Lang.strategy_to_string strategy;
-           Sws_pl.canonical_repr sws1;
-           Sws_pl.canonical_repr sws2;
-         ])
+      (key "pl_eq" [ Sws_pl.canonical_repr sws1; Sws_pl.canonical_repr sws2 ])
     ~outcome:run_equiv_outcome ~cacheable:cacheable_equiv
   @@ fun () ->
   Engine.run ?stats ~name:"pl_equivalence" ~outcome:run_equiv_outcome
   @@ fun () ->
-  match strategy with
-  | `Eager -> (
-    let d1 = Sws_pl.language_dfa ?stats sws1 in
-    let d2 = Sws_pl.language_dfa ?stats sws2 in
-    match Dfa.distinguishing_word d1 d2 with
-    | None -> Equivalent
-    | Some w -> Inequivalent (decode_word sws1 w))
-  | `Antichain -> (
-    let n1 = Sws_pl.language_nfa ?stats sws1 in
-    let n2 = Sws_pl.language_nfa ?stats sws2 in
-    match
-      Lang.equivalent_cex ~limits:(limits_of_budget budget_v)
-        ?tick:(lang_tick stats) n1 n2
-    with
-    | Ok None -> Equivalent
-    | Ok (Some w) -> Inequivalent (decode_word sws1 w)
-    | Error t -> Equiv_exhausted (exhausted_of_trip ~name:"pl_equivalence" t))
+  let n1 = Sws_pl.language_nfa ?stats sws1 in
+  let n2 = Sws_pl.language_nfa ?stats sws2 in
+  match
+    Lang.equivalent_cex ~limits:(limits_of_budget budget_v)
+      ?tick:(lang_tick stats) n1 n2
+  with
+  | Ok None -> Equivalent
+  | Ok (Some w) -> Inequivalent (decode_word sws1 w)
+  | Error t -> Equiv_exhausted (exhausted_of_trip ~name:"pl_equivalence" t)
 
 (* ------------------------------------------------------------------ *)
 (* SWS_nr(PL, PL): SAT-based NP / coNP procedures                      *)
@@ -451,8 +419,7 @@ let cq_non_emptiness ?stats ?budget sws =
    canonical database is kept only if it reproduces O exactly.  Sound and,
    on the canonical candidate space, complete; recursive services and
    exhausted budgets report a structured [Exhausted]. *)
-let cq_validation ?stats ?budget ?(max_assignments = 4096) ?strategy sws
-    ~output =
+let cq_validation ?stats ?budget ?(max_assignments = 4096) sws ~output =
   let open R in
   if Relation.is_empty output then
     Yes (Database.empty (Sws_data.db_schema sws), [])
@@ -467,7 +434,6 @@ let cq_validation ?stats ?budget ?(max_assignments = 4096) ?strategy sws
              Sws_data.canonical_repr sws;
              relation_repr output;
              string_of_int max_assignments;
-             strategy_repr strategy;
            ])
       ~outcome:run_outcome ~cacheable:cacheable_outcome
     @@ fun () ->
@@ -553,7 +519,7 @@ let cq_validation ?stats ?budget ?(max_assignments = 4096) ?strategy sws
             let db =
               List.fold_left Database.merge (Database.empty schema) dbs
             in
-            if Relation.equal (Ucq.eval ?strategy q db) output then Some db
+            if Relation.equal (Ucq.eval q db) output then Some db
             else None)
           candidates
       end

@@ -26,12 +26,10 @@ type 'c equiv_outcome =
 
 (** {1 SWS(PL, PL) — automata-based (pspace cells)}
 
-    The language questions run on {!Automata.Lang}: [`Antichain] (the
-    default) explores the product lazily with antichain subsumption and
-    respects [budget] ([max_nodes] meters product pairs, [max_depth]
-    witness length), reporting [Exhausted] when it trips; [`Eager]
-    determinizes through the memoized DFA chain, ignores the budget and
-    always answers.  Results are cached per strategy under the
+    The language questions run on {!Automata.Lang}, which explores the
+    product lazily with antichain subsumption and respects [budget]
+    ([max_nodes] meters product pairs, [max_depth] witness length),
+    reporting [Exhausted] when it trips.  Results are cached under the
     budget-monotonicity rule. *)
 
 val pl_non_emptiness :
@@ -42,7 +40,6 @@ val pl_non_emptiness :
     complement. *)
 val pl_validation :
   ?stats:Engine.Stats.t ->
-  ?strategy:Automata.Lang.strategy ->
   ?budget:Engine.Budget.t ->
   Sws_pl.t ->
   output:bool ->
@@ -52,7 +49,6 @@ val pl_validation :
     declare the same input variables. *)
 val pl_equivalence :
   ?stats:Engine.Stats.t ->
-  ?strategy:Automata.Lang.strategy ->
   ?budget:Engine.Budget.t ->
   Sws_pl.t ->
   Sws_pl.t ->
@@ -91,13 +87,12 @@ val cq_non_emptiness :
     sound, complete on the canonical candidate space (default budget for
     recursive services: 4 input lengths).  [max_assignments] bounds the
     candidate space itself, not the scan, and so stays a plain integer.
-    [strategy] picks the join algorithm used to re-evaluate the unfolding
-    against each candidate database (default: the index-backed join). *)
+    Each candidate database re-evaluates the unfolding with
+    {!Relational.Ucq.eval}. *)
 val cq_validation :
   ?stats:Engine.Stats.t ->
   ?budget:Engine.Budget.t ->
   ?max_assignments:int ->
-  ?strategy:Relational.Cq.strategy ->
   Sws_data.t ->
   output:Relational.Relation.t ->
   (Relational.Database.t * Relational.Relation.t list) outcome

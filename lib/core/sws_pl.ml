@@ -30,7 +30,7 @@ let act_var i =
 
 type query = Prop.t
 
-(* The vector DFA -> NFA -> DFA chain is deterministic in the (immutable)
+(* The vector DFA -> NFA chain is deterministic in the (immutable)
    service, so each service value carries one lazily filled slot per stage:
    pl_non_emptiness, pl_validation, pl_equivalence and
    Compose.pl_language_nfa stop paying for the same exponential
@@ -52,7 +52,6 @@ type automata_cache = {
   key : Cache.Store.Key.t option; (* its store key; [None] when private *)
   mutable vdfa : Automata.Dfa.t option;
   mutable nfa : Automata.Nfa.t option;
-  mutable dfa : Automata.Dfa.t option;
   mutable bytes : int; (* approximate resident size of the filled stages *)
 }
 
@@ -73,8 +72,7 @@ let fresh_stamp () =
 let record_bytes = 128
 
 let fresh_cache key =
-  { mu = Mutex.create (); key; vdfa = None; nfa = None; dfa = None;
-    bytes = record_bytes }
+  { mu = Mutex.create (); key; vdfa = None; nfa = None; bytes = record_bytes }
 
 module Chain_value = struct
   type t = automata_cache
@@ -391,7 +389,7 @@ let nfa_bytes n =
 
 let chain_bytes c =
   let opt f = function Some v -> f v | None -> 0 in
-  record_bytes + opt dfa_bytes c.vdfa + opt nfa_bytes c.nfa + opt dfa_bytes c.dfa
+  record_bytes + opt dfa_bytes c.vdfa + opt nfa_bytes c.nfa
 
 (* One memoized stage of the automata chain.  [name] labels the build in
    traces: each uncached construction appears as one span and feeds the
@@ -450,18 +448,10 @@ let language_nfa ?stats t =
       Automata.Nfa.reverse (Automata.Dfa.to_nfa (vector_dfa ?stats t)))
     t
 
-let language_dfa ?stats t =
-  cached ?stats ~name:"dfa_build"
-    ~get:(fun c -> c.dfa)
-    ~set:(fun c v -> c.dfa <- v)
-    (fun t -> Automata.Dfa.of_nfa (language_nfa ?stats t))
-    t
-
 let clear_cache t =
   Mutex.lock t.cache.mu;
   t.cache.vdfa <- None;
   t.cache.nfa <- None;
-  t.cache.dfa <- None;
   t.cache.bytes <- record_bytes;
   Mutex.unlock t.cache.mu;
   Option.iter (fun key -> Chain_store.add chains key t.cache) t.cache.key

@@ -88,8 +88,8 @@ val to_afa : t -> Automata.Afa.t
     language over reachable truth vectors.  [List.rev] of its
     [Dfa.shortest_word] is [Afa.shortest_word (to_afa t)].
 
-    Memoized per service *content* (together with {!language_nfa} and
-    {!language_dfa}, forming the vector DFA → NFA → DFA chain): the
+    Memoized per service *content* (together with {!language_nfa},
+    forming the two-stage vector DFA → NFA chain): the
     chain record lives in the process-lifetime store (cache class
     ["automata"]) keyed on {!canonical_repr}, so equal services built by
     different requests or server sessions share one chain, and is
@@ -101,9 +101,6 @@ val vector_dfa : ?stats:Engine.Stats.t -> t -> Automata.Dfa.t
 (** [Nfa.reverse (Dfa.to_nfa (vector_dfa t))] — exactly
     [Afa.to_nfa (to_afa t)] — memoized per service. *)
 val language_nfa : ?stats:Engine.Stats.t -> t -> Automata.Nfa.t
-
-(** [Dfa.of_nfa] of {!language_nfa}, memoized per service. *)
-val language_dfa : ?stats:Engine.Stats.t -> t -> Automata.Dfa.t
 
 (** Drop this service's memoized automata. *)
 val clear_cache : t -> unit

@@ -57,13 +57,13 @@ let program views = Dl.make (List.concat_map invert views)
 (* Certain answers of [query] (a CQ over base relations) given only the view
    extensions: run the inverse rules bottom-up to repopulate (Skolemized)
    base relations, evaluate the query, and keep Skolem-free tuples. *)
-let certain_answers ?strategy ~views ~extensions query =
+let certain_answers ~views ~extensions query =
   let inv = program views in
   let goal_rule =
     Dl.plain_rule "@goal" query.Cq.head query.Cq.body
   in
   let prog = Dl.make (Dl.rules inv @ [ goal_rule ]) in
-  Seminaive.certain_answers ?strategy prog extensions "@goal"
+  Seminaive.certain_answers prog extensions "@goal"
 
 (* The view extensions obtained by materializing each view over a concrete
    base database: used by tests to validate maximal containment. *)

@@ -19,7 +19,6 @@ val program : view list -> Dl.t
 (** Certain answers of a CQ over base relations, given only the view
     extensions. *)
 val certain_answers :
-  ?strategy:[ `Naive | `Seminaive ] ->
   views:view list ->
   extensions:Relational.Database.t ->
   Relational.Cq.t ->

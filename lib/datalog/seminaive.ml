@@ -1,7 +1,6 @@
-(* Bottom-up datalog evaluation: naive and semi-naive fixpoints.  The naive
-   variant re-derives everything each round; semi-naive joins each rule once
-   per body position against the per-round delta.  Both are exposed because
-   the gap between them is one of the DESIGN.md ablations. *)
+(* Bottom-up datalog evaluation: the semi-naive fixpoint, which joins each
+   rule once per body position against the per-round delta.  The naive
+   fixpoint that re-derives everything each round is its test oracle. *)
 
 module Atom = Relational.Atom
 module Term = Relational.Term
@@ -26,7 +25,7 @@ let find_id_exn x subst =
   | Some id -> id
   | None -> invalid_arg ("derive_rule: unbound head variable " ^ x)
 
-let derive_rule ?strategy db (r : Dl.rule) =
+let derive_rule db (r : Dl.rule) =
   let head_cq_vars =
     (* fetch all body variables so Skolem heads can be built from them *)
     List.concat_map Atom.vars r.body |> List.sort_uniq String.compare
@@ -34,7 +33,7 @@ let derive_rule ?strategy db (r : Dl.rule) =
   let cq =
     Cq.make ~head:(List.map Term.var head_cq_vars) ~body:r.body ()
   in
-  let substs = Cq.eval_substs ?strategy cq db in
+  let substs = Cq.eval_substs cq db in
   (* Constants are interned once per rule evaluation, not once per subst. *)
   let compiled =
     List.map
@@ -60,40 +59,13 @@ let derive_rule ?strategy db (r : Dl.rule) =
            compiled))
     substs
 
-let full_schema program edb =
-  Schema.union (Dl.schema_of program) (Database.schema edb)
-
-(* Naive fixpoint: iterate all rules until nothing new is derived. *)
-let eval_naive ?cq_strategy program edb =
-  let schema = full_schema program edb in
-  let start =
-    Database.fold (fun n r db -> Database.set n r db) edb (Database.empty schema)
-  in
-  let rec round db =
-    let db', grew =
-      List.fold_left
-        (fun (db, grew) rule ->
-          List.fold_left
-            (fun (db, grew) it ->
-              let rel = Database.find rule.Dl.head_rel db in
-              if Relation.mem_interned it rel then (db, grew)
-              else
-                ( Database.set rule.Dl.head_rel (Relation.add_interned it rel) db,
-                  true ))
-            (db, grew) (derive_rule ?strategy:cq_strategy db rule))
-        (db, false) (Dl.rules program)
-    in
-    if grew then round db' else db'
-  in
-  round start
-
 (* Semi-naive: per round, evaluate each rule once per body position with that
    position restricted to the previous round's delta (via a shadow
    "relation@delta" renaming). *)
 let delta_name n = n ^ "@delta"
 
-let eval_seminaive ?cq_strategy program edb =
-  let schema0 = full_schema program edb in
+let eval program edb =
+  let schema0 = Schema.union (Dl.schema_of program) (Database.schema edb) in
   let idb = Dl.idb_relations program in
   let schema =
     List.fold_left
@@ -110,7 +82,7 @@ let eval_seminaive ?cq_strategy program edb =
     Database.fold (fun n r db -> Database.set n r db) edb (Database.empty schema)
   in
   (* Round zero: plain evaluation of every rule on the EDB. *)
-  let initial_facts rule = derive_rule ?strategy:cq_strategy start rule in
+  let initial_facts rule = derive_rule start rule in
   let add_facts (db, deltas) rel tuples =
     List.fold_left
       (fun (db, deltas) it ->
@@ -164,7 +136,7 @@ let eval_seminaive ?cq_strategy program edb =
             List.fold_left
               (fun acc variant ->
                 add_facts acc rule.Dl.head_rel
-                  (derive_rule ?strategy:cq_strategy db_with variant))
+                  (derive_rule db_with variant))
               acc variants)
           (db, Smap.empty) (Dl.rules program)
       in
@@ -181,15 +153,10 @@ let eval_seminaive ?cq_strategy program edb =
     result
     (Database.empty schema0)
 
-let eval ?(strategy = `Seminaive) ?cq_strategy program edb =
-  match strategy with
-  | `Naive -> eval_naive ?cq_strategy program edb
-  | `Seminaive -> eval_seminaive ?cq_strategy program edb
-
 (* Answer a query (an IDB relation name) and drop Skolem-carrying tuples:
    certain answers only. *)
-let certain_answers ?strategy ?cq_strategy program edb goal =
-  let db = eval ?strategy ?cq_strategy program edb in
+let certain_answers program edb goal =
+  let db = eval program edb in
   Relation.filter
     (fun t -> not (Tuple.exists Dl.is_skolem_value t))
     (Database.find goal db)

@@ -1,36 +1,11 @@
-(** Bottom-up datalog evaluation: naive and semi-naive fixpoints (the gap
-    between them is one of the DESIGN.md ablations).
-
-    [cq_strategy] selects how each rule body is joined (see
-    {!Relational.Cq.strategy}); the default is the index-backed join. *)
+(** Bottom-up datalog evaluation: the semi-naive fixpoint.  Each rule body
+    is joined by {!Relational.Cq.eval_substs}. *)
 
 (** The least fixpoint over the EDB: the returned database contains both
     the EDB and the derived IDB relations. *)
-val eval :
-  ?strategy:[ `Naive | `Seminaive ] ->
-  ?cq_strategy:Relational.Cq.strategy ->
-  Dl.t ->
-  Relational.Database.t ->
-  Relational.Database.t
-
-val eval_naive :
-  ?cq_strategy:Relational.Cq.strategy ->
-  Dl.t ->
-  Relational.Database.t ->
-  Relational.Database.t
-
-val eval_seminaive :
-  ?cq_strategy:Relational.Cq.strategy ->
-  Dl.t ->
-  Relational.Database.t ->
-  Relational.Database.t
+val eval : Dl.t -> Relational.Database.t -> Relational.Database.t
 
 (** The goal relation with Skolem-carrying tuples dropped: certain answers
     only (the inverse-rules use). *)
 val certain_answers :
-  ?strategy:[ `Naive | `Seminaive ] ->
-  ?cq_strategy:Relational.Cq.strategy ->
-  Dl.t ->
-  Relational.Database.t ->
-  string ->
-  Relational.Relation.t
+  Dl.t -> Relational.Database.t -> string -> Relational.Relation.t

@@ -26,7 +26,7 @@ let edb_of s ~schema =
   let name, tuple = s.fact in
   Database.add_tuple name tuple (Database.empty schema)
 
-let accepts ?strategy s =
+let accepts s =
   let schema =
     let open Relational in
     let name_f, tup_f = s.fact and name_g, tup_g = s.goal in
@@ -35,7 +35,7 @@ let accepts ?strategy s =
       (Schema.of_list
          [ (name_f, Tuple.arity tup_f); (name_g, Tuple.arity tup_g) ])
   in
-  let db = Seminaive.eval ?strategy (program s) (edb_of s ~schema) in
+  let db = Seminaive.eval (program s) (edb_of s ~schema) in
   let name, tuple = s.goal in
   Relation.mem tuple (Database.find name db)
 
@@ -78,7 +78,7 @@ let same_generation rng ~num_nodes ~num_edges =
   (s, edges)
 
 (* Evaluate a same-generation instance together with its edge EDB. *)
-let accepts_with_edges ?strategy (s, edges) =
+let accepts_with_edges (s, edges) =
   let open Relational in
   let schema = Schema.of_list [ ("e", 2); ("sg", 2) ] in
   let db =
@@ -86,6 +86,6 @@ let accepts_with_edges ?strategy (s, edges) =
       (fun db (u, v) -> Database.add_tuple "e" (Tuple.of_list [ u; v ]) db)
       (edb_of s ~schema) edges
   in
-  let result = Seminaive.eval ?strategy (program s) db in
+  let result = Seminaive.eval (program s) db in
   let name, tuple = s.goal in
   Relation.mem tuple (Database.find name result)

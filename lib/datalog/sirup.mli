@@ -14,7 +14,7 @@ val make :
 val program : t -> Dl.t
 
 (** Does the sirup derive its goal?  Decided bottom-up. *)
-val accepts : ?strategy:[ `Naive | `Seminaive ] -> t -> bool
+val accepts : t -> bool
 
 (** A scalable same-generation instance family over a random edge set (the
     Table 1 EXPTIME workload): returns the sirup and its edges. *)
@@ -25,6 +25,4 @@ val same_generation :
   t * (Relational.Value.t * Relational.Value.t) list
 
 val accepts_with_edges :
-  ?strategy:[ `Naive | `Seminaive ] ->
-  t * (Relational.Value.t * Relational.Value.t) list ->
-  bool
+  t * (Relational.Value.t * Relational.Value.t) list -> bool

@@ -67,16 +67,15 @@ let eval g q =
     (List.init (Lgraph.num_nodes g) Fun.id)
 
 (* Language containment of RPQs is exactly containment of the queries
-   (over all graphs), decidable via the automata substrate — lazily by
-   default, with no limits (RPQ automata are regex-sized). *)
-let contained_in ?strategy q1 q2 =
+   (over all graphs), decidable via the automata substrate — lazily, with
+   no limits (RPQ automata are regex-sized). *)
+let contained_in q1 q2 =
   q1.num_labels = q2.num_labels
   &&
-  match Automata.Lang.contains ?strategy (to_nfa q2) (to_nfa q1) with
+  match Automata.Lang.contains (to_nfa q2) (to_nfa q1) with
   | Ok b -> b
   | Error _ -> assert false (* no limits: the exploration never trips *)
 
-let equivalent ?strategy q1 q2 =
-  contained_in ?strategy q1 q2 && contained_in ?strategy q2 q1
+let equivalent q1 q2 = contained_in q1 q2 && contained_in q2 q1
 
 let pp ppf q = Fmt.pf ppf "RPQ(%a)" Regex.pp q.regex

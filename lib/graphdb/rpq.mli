@@ -24,8 +24,8 @@ val eval_from : Lgraph.t -> t -> int -> Iset.t
 val eval : Lgraph.t -> t -> (int * int) list
 
 (** Containment over all graphs = language containment, decided on
-    {!Automata.Lang} (default [`Antichain]; both strategies agree). *)
-val contained_in : ?strategy:Automata.Lang.strategy -> t -> t -> bool
+    {!Automata.Lang}. *)
+val contained_in : t -> t -> bool
 
-val equivalent : ?strategy:Automata.Lang.strategy -> t -> t -> bool
+val equivalent : t -> t -> bool
 val pp : t Fmt.t

@@ -239,28 +239,12 @@ let neqs_hold subst neqs =
 let bound_var_count subst pa =
   List.length (List.filter (fun x -> Subst.mem x subst) pa.avars)
 
-(* Greedy sideways-information-passing: always expand the atom with the most
-   already-bound variables (breaking ties towards smaller relations), so joins
-   stay selective.  [`Indexed] keeps the greedy atom order but answers each
-   expansion with a hash-index probe instead of a full relation scan;
-   [`Naive] keeps the textual atom order.  The gaps between the three are
-   ablations in bench/. *)
-type strategy = [ `Greedy | `Indexed | `Naive ]
-
 (* Remove exactly the first occurrence (physically) of [b].  A plain
    [List.filter] on physical inequality would drop *every* occurrence at
-   once when a body atom is shared, silently shortening the join. *)
+   once when a body atom is shared, silently shortening the join.  The join
+   applies it to plan atoms, whose list preserves the physical identity of
+   its records. *)
 let remove_one_atom b atoms =
-  let rec go = function
-    | [] -> []
-    | a :: rest -> if a == b then rest else a :: go rest
-  in
-  go atoms
-
-(* [remove_one_atom] works on plan atoms too: the plan list preserves the
-   physical identity of its records, so the same first-occurrence discipline
-   applies. *)
-let remove_one_plan b atoms =
   let rec go = function
     | [] -> []
     | a :: rest -> if a == b then rest else a :: go rest
@@ -273,32 +257,27 @@ let remove_one_plan b atoms =
    series runs thousands of branches. *)
 let parallel_fanout_threshold = 16
 
-let eval_substs ?(strategy = `Indexed) q db =
+(* Greedy sideways-information-passing: always expand the atom with the most
+   already-bound variables (breaking ties towards smaller relations), so joins
+   stay selective, and answer each expansion with a hash-index probe instead
+   of a full relation scan. *)
+let eval_substs q db =
   let plan = List.map compile_atom q.body in
   let neqs = List.map (fun (a, b) -> (compile_term a, compile_term b)) q.neqs in
   let pick subst atoms =
-    match strategy, atoms with
-    | _, [] -> None
-    | `Naive, a :: rest -> Some (a, rest)
-    | (`Greedy | `Indexed), _ ->
-      let score a =
-        ( -bound_var_count subst a,
-          Relation.cardinal (Database.find a.atom.Atom.rel db) )
-      in
-      let best =
-        List.fold_left
-          (fun acc a ->
-            match acc with
-            | None -> Some a
-            | Some b -> if score a < score b then Some a else acc)
-          None atoms
-      in
-      Option.map (fun b -> (b, remove_one_plan b atoms)) best
-  in
-  let matches =
-    match strategy with
-    | `Indexed -> atom_matches_indexed
-    | `Greedy | `Naive -> atom_matches
+    let score a =
+      ( -bound_var_count subst a,
+        Relation.cardinal (Database.find a.atom.Atom.rel db) )
+    in
+    let best =
+      List.fold_left
+        (fun acc a ->
+          match acc with
+          | None -> Some a
+          | Some b -> if score a < score b then Some a else acc)
+        None atoms
+    in
+    Option.map (fun b -> (b, remove_one_atom b atoms)) best
   in
   let rec search subst atoms acc =
     if not (neqs_hold subst neqs) then acc
@@ -309,16 +288,15 @@ let eval_substs ?(strategy = `Indexed) q db =
         List.fold_left
           (fun acc subst' -> search subst' rest acc)
           acc
-          (matches db subst atom)
+          (atom_matches_indexed db subst atom)
   in
   (* Parallel mode forks the search at the root: the first picked atom's
      matches (one per tuple of the outer relation, in scan — i.e. bucket —
      order) each seed an independent branch, branches run across the pool,
      and branch results are concatenated in branch order.  Since
      [search s rest acc = search s rest [] @ acc], the reassembled list is
-     element-for-element the sequential one, for any strategy and any job
-     count — which is what keeps the three strategies agreement-testable
-     against each other and against [--jobs 1]. *)
+     element-for-element the sequential one for any job count — which is
+     what keeps the join agreement-testable against [--jobs 1]. *)
   let jobs = Par.Pool.effective_jobs () in
   if jobs <= 1 then search Subst.empty plan []
   else if not (neqs_hold Subst.empty neqs) then []
@@ -326,7 +304,7 @@ let eval_substs ?(strategy = `Indexed) q db =
     match pick Subst.empty plan with
     | None -> if neqs_hold Subst.empty neqs then [ Subst.empty ] else []
     | Some (atom0, rest) ->
-      let ms = matches db Subst.empty atom0 in
+      let ms = atom_matches_indexed db Subst.empty atom0 in
       if List.length ms < parallel_fanout_threshold then
         List.fold_left (fun acc subst' -> search subst' rest acc) [] ms
       else
@@ -335,9 +313,9 @@ let eval_substs ?(strategy = `Indexed) q db =
         in
         List.fold_left (fun acc branch -> branch @ acc) [] branches
 
-let eval ?strategy q db =
+let eval q db =
   Obs.Trace.span "cq_eval" @@ fun () ->
-  let substs = eval_substs ?strategy q db in
+  let substs = eval_substs q db in
   (* head compiled once; answer tuples are assembled directly from ids *)
   let head = Array.of_list (List.map compile_term q.head) in
   List.fold_left

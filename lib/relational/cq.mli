@@ -38,17 +38,14 @@ val apply_var_subst : Term.t Map.Make(String).t -> t -> t
 (** Schema induced by the body atoms. *)
 val schema_of : t -> Schema.t
 
-(** [`Indexed] (the default) is greedy sideways-information-passing with
-    hash-index probes against the database's {!Index} store; [`Greedy] is the
-    same join order over full relation scans; [`Naive] scans in textual atom
-    order.  All three return the same relations. *)
-type strategy = [ `Greedy | `Indexed | `Naive ]
-
-(** All satisfying valuations of the body over [db]. *)
-val eval_substs : ?strategy:strategy -> t -> Database.t -> Subst.t list
+(** All satisfying valuations of the body over [db].  The join is greedy
+    sideways-information-passing (expand the atom with the most bound
+    variables, ties towards smaller relations) answered by hash-index probes
+    against the database's {!Index} store. *)
+val eval_substs : t -> Database.t -> Subst.t list
 
 (** The answer relation of the query over [db]. *)
-val eval : ?strategy:strategy -> t -> Database.t -> Relation.t
+val eval : t -> Database.t -> Relation.t
 
 (** Remove exactly the first (physical) occurrence of the atom.  Exposed for
     white-box regression testing of the join loop's atom bookkeeping: a

@@ -28,9 +28,9 @@ let union a b =
   if a.arity <> b.arity then invalid_arg "Ucq.union: arity mismatch";
   { a with disjuncts = a.disjuncts @ b.disjuncts }
 
-let eval ?strategy u db =
+let eval u db =
   List.fold_left
-    (fun acc q -> Relation.union acc (Cq.eval ?strategy q db))
+    (fun acc q -> Relation.union acc (Cq.eval q db))
     (Relation.empty u.arity) u.disjuncts
 
 let schema_of u =

@@ -13,7 +13,7 @@ val of_cq : Cq.t -> t
 val arity : t -> int
 val disjuncts : t -> Cq.t list
 val union : t -> t -> t
-val eval : ?strategy:Cq.strategy -> t -> Database.t -> Relation.t
+val eval : t -> Database.t -> Relation.t
 val schema_of : t -> Schema.t
 
 (** Complete containment test, including [<>] (Klug). *)

@@ -128,13 +128,13 @@ type result =
    The covering check is the one language decision here that does not
    need the complement DFA already built above, so it runs on the lazy
    engine (the expansion NFA is the large side). *)
-let rewrite ?strategy ~target ~views () =
+let rewrite ~target ~views () =
   let m = maximal_rewriting ~target ~views in
   if Dfa.is_empty m then
     if Nfa.is_empty target then Exact m else Empty_rewriting
   else
     let e = expansion ~views m in
-    match Automata.Lang.contains ?strategy e target with
+    match Automata.Lang.contains e target with
     | Ok true -> Exact m
     | Ok false -> Maximal m
     | Error _ -> assert false (* no limits: the exploration never trips *)

@@ -23,12 +23,10 @@ type result =
   | Maximal of Automata.Dfa.t    (** strictly contained: no equivalent one *)
   | Empty_rewriting              (** no view word fits inside the target *)
 
-(** [rewrite ?strategy ~target ~views ()] classifies the maximal
-    rewriting.  The exactness check (expansion covers target) runs on
-    {!Automata.Lang} under [strategy] (default [`Antichain]); both
-    strategies are decisive here, so the verdict is strategy-independent. *)
+(** [rewrite ~target ~views ()] classifies the maximal rewriting.  The
+    exactness check (expansion covers target) runs on {!Automata.Lang}
+    without limits, so it is always decisive. *)
 val rewrite :
-  ?strategy:Automata.Lang.strategy ->
   target:Automata.Nfa.t ->
   views:Automata.Nfa.t list ->
   unit ->

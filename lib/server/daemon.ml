@@ -211,19 +211,6 @@ let budget_param cfg params : (Engine.Budget.t, reply) result =
     | Ok b -> Ok (Engine.Budget.combine b cfg.max_budget)
     | Error e -> bad e)
 
-(* Language-engine selector for the check/equivalence methods: "antichain"
-   (default) or "eager".  Part of the L2 key — the strategies agree on
-   verdicts but not necessarily on witness words. *)
-let strategy_param params : (Automata.Lang.strategy, reply) result =
-  match J.member "strategy" params with
-  | None -> Ok `Antichain
-  | Some (J.String s) -> (
-    match Automata.Lang.strategy_of_string s with
-    | Some st -> Ok st
-    | None ->
-      bad (Printf.sprintf "unknown strategy %S (want \"eager\" or \"antichain\")" s))
-  | Some _ -> bad "parameter \"strategy\" must be a string"
-
 (* Witness words travel as compact strings, one char per message: 'a'+i
    for the one-hot mask of input variable i ('#' for the Roman session
    delimiter), '.' for the all-false padding message, '?' otherwise. *)
@@ -362,23 +349,20 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
                        (Session.components session)) );
               ]))
     | "check" ->
-      let* () = check_keys params [ "service"; "strategy" ] in
+      let* () = check_keys params [ "service" ] in
       let* j =
         match J.member "service" params with
         | Some j -> Ok j
         | None -> bad "missing parameter \"service\""
       in
       let* _, _, r = resolve cfg session j in
-      let* strategy = strategy_param params in
-      l2 ~csrc
-        [ "check"; Automata.Lang.strategy_to_string strategy; regex_repr r ]
-      @@ fun () ->
+      l2 ~csrc [ "check"; regex_repr r ] @@ fun () ->
       let alphabet_size = alphabet_size_of [ r ] in
       let sws = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size r) in
       let* ne = decision_outcome_json (Decision.pl_non_emptiness ~stats:sink sws) in
       let* va =
         decision_outcome_json
-          (Decision.pl_validation ~stats:sink ~strategy sws ~output:false)
+          (Decision.pl_validation ~stats:sink sws ~output:false)
       in
       Ok
         (`Ok
@@ -390,7 +374,7 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
                 ("validation", va);
               ]))
     | "equivalence" ->
-      let* () = check_keys params [ "left"; "right"; "strategy" ] in
+      let* () = check_keys params [ "left"; "right" ] in
       let* jl =
         match J.member "left" params with
         | Some j -> Ok j
@@ -403,19 +387,11 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
       in
       let* _, _, rl = resolve cfg session jl in
       let* _, _, rr = resolve cfg session jr in
-      let* strategy = strategy_param params in
-      l2 ~csrc
-        [
-          "equivalence";
-          Automata.Lang.strategy_to_string strategy;
-          regex_repr rl;
-          regex_repr rr;
-        ]
-      @@ fun () ->
+      l2 ~csrc [ "equivalence"; regex_repr rl; regex_repr rr ] @@ fun () ->
       let alphabet_size = alphabet_size_of [ rl; rr ] in
       let sl = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size rl) in
       let sr = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size rr) in
-      (match Decision.pl_equivalence ~stats:sink ~strategy sl sr with
+      (match Decision.pl_equivalence ~stats:sink sl sr with
       | Decision.Equivalent -> Ok (`Ok (J.Obj [ ("equivalent", J.Bool true) ]))
       | Decision.Inequivalent w ->
         Ok

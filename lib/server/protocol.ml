@@ -5,7 +5,7 @@ type addr = Unix_sock of string | Tcp of string * int
 (* Bumped when the wire protocol changes shape; echoed by [ping],
    [stats] and [metrics] so clients can check what they are talking
    to. *)
-let version = 1
+let version = 2
 
 let pp_addr ppf = function
   | Unix_sock path -> Fmt.pf ppf "unix:%s" path

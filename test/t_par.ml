@@ -175,27 +175,20 @@ let subst_identical s1 s2 =
 
 (* The outer relations must clear Cq's parallel fan-out threshold (16
    tuples), otherwise the parallel path is never taken. *)
-let prop_cq_strategies_jobs_agree =
+let prop_cq_jobs_agree =
   QCheck.Test.make ~count:40
-    ~name:"cq joins: jobs 4 = jobs 1 substitution lists, all strategies"
+    ~name:"cq joins: jobs 4 = jobs 1 substitution lists, oracle answers"
     (QCheck.make QCheck.Gen.(pair (20 -- 80) (1 -- 4)))
     (fun (n, len) ->
       let db = line_graph_db n in
       let q = chain_q len in
-      List.for_all
-        (fun strategy ->
-          let seq =
-            with_jobs 1 (fun () -> R.Cq.eval_substs ~strategy q db)
-          in
-          let par =
-            with_jobs 4 (fun () -> R.Cq.eval_substs ~strategy q db)
-          in
-          List.length seq = List.length par
-          && List.for_all2 subst_identical seq par
-          && R.Relation.equal
-               (with_jobs 1 (fun () -> R.Cq.eval ~strategy q db))
-               (with_jobs 4 (fun () -> R.Cq.eval ~strategy q db)))
-        [ `Naive; `Greedy; `Indexed ])
+      let seq = with_jobs 1 (fun () -> R.Cq.eval_substs q db) in
+      let par = with_jobs 4 (fun () -> R.Cq.eval_substs q db) in
+      let expected = Oracle.cq_eval q db in
+      List.length seq = List.length par
+      && List.for_all2 subst_identical seq par
+      && R.Relation.equal (with_jobs 1 (fun () -> R.Cq.eval q db)) expected
+      && R.Relation.equal (with_jobs 4 (fun () -> R.Cq.eval q db)) expected)
 
 (* ------------------------------------------------------------------ *)
 (* Candidate fan-out: identical scan outcomes, Exhausted soundness       *)
@@ -354,7 +347,7 @@ let suite =
     Alcotest.test_case "exponential determinization family" `Quick
       test_dfa_exponential_family;
     QCheck_alcotest.to_alcotest prop_shortest_word_jobs_agree;
-    QCheck_alcotest.to_alcotest prop_cq_strategies_jobs_agree;
+    QCheck_alcotest.to_alcotest prop_cq_jobs_agree;
     Alcotest.test_case "find_first agrees across job counts" `Quick
       test_find_first_agrees;
     Alcotest.test_case "scan outcomes agree, Exhausted is sound" `Quick

@@ -51,22 +51,22 @@ let test_duplicate_atom_removed_once () =
   let b = Atom.make "r" [ v "x"; v "y" ] in
   check "structurally equal but distinct atoms untouched" true
     (Cq.remove_one_atom a [ b; a; b ] = [ b; b ]);
-  (* end-to-end: a query whose body shares one atom twice evaluates the
-     same under every strategy and matches the deduplicated query *)
+  (* end-to-end: a query whose body shares one atom twice evaluates like
+     the nested-loop oracle and matches the deduplicated query *)
   let db = db_r [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 1 ] ] in
   let dup = cq [ v "x" ] [ a; a ] in
   let single = cq [ v "x" ] [ a ] in
   let expected = Cq.eval single db in
   List.iter
-    (fun s -> check "duplicated body atom" true (Relation.equal (Cq.eval ~strategy:s dup db) expected))
-    [ `Naive; `Greedy; `Indexed ]
+    (fun eval -> check "duplicated body atom" true (Relation.equal (eval dup db) expected))
+    [ Oracle.cq_eval; Cq.eval ]
 
-(* Property: the three join strategies are answer-equivalent on randomized
-   CQ/database instances (the indexed path is an optimization, never a
-   semantics change). *)
-let prop_strategies_agree =
+(* Property: the indexed join is answer-equivalent to the nested-loop
+   oracle on randomized CQ/database instances (the index is an
+   optimization, never a semantics change). *)
+let prop_join_matches_oracle =
   let gen = QCheck.Gen.int_bound 100000 in
-  QCheck.Test.make ~count:120 ~name:"naive = greedy = indexed CQ evaluation"
+  QCheck.Test.make ~count:120 ~name:"indexed CQ evaluation = nested-loop oracle"
     (QCheck.make gen)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
@@ -101,11 +101,10 @@ let prop_strategies_agree =
           }
         in
         let db = R.Instance_gen.random_database ~config rng schema in
-        let reference = Cq.eval ~strategy:`Naive q db in
-        Relation.equal reference (Cq.eval ~strategy:`Greedy q db)
-        && Relation.equal reference (Cq.eval ~strategy:`Indexed q db)
-        (* a second indexed run hits the warm per-database index cache *)
-        && Relation.equal reference (Cq.eval ~strategy:`Indexed q db)
+        let reference = Oracle.cq_eval q db in
+        Relation.equal reference (Cq.eval q db)
+        (* a second run hits the warm per-database index cache *)
+        && Relation.equal reference (Cq.eval q db)
       end)
 
 let test_relation_algebra () =
@@ -131,9 +130,8 @@ let test_cq_eval () =
   in
   check "paths" true
     (Relation.equal (Cq.eval q db) (rel 2 [ [ 1; 3 ]; [ 2; 1 ]; [ 3; 2 ] ]));
-  (* strategies agree *)
-  check "naive = greedy" true
-    (Relation.equal (Cq.eval ~strategy:`Naive q db) (Cq.eval ~strategy:`Greedy q db));
+  (* the join agrees with the oracle *)
+  check "oracle = join" true (Relation.equal (Oracle.cq_eval q db) (Cq.eval q db));
   (* constants and inequalities *)
   let q2 =
     cq
@@ -340,7 +338,7 @@ let suite =
     Alcotest.test_case "remove arity checked" `Quick test_remove_arity_checked;
     Alcotest.test_case "duplicate atom removed once" `Quick
       test_duplicate_atom_removed_once;
-    QCheck_alcotest.to_alcotest prop_strategies_agree;
+    QCheck_alcotest.to_alcotest prop_join_matches_oracle;
     Alcotest.test_case "cq eval" `Quick test_cq_eval;
     Alcotest.test_case "cq unsat eqs" `Quick test_cq_unsat_eqs;
     Alcotest.test_case "cq safety" `Quick test_cq_safety;

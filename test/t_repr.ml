@@ -1,8 +1,8 @@
 (* Agreement suites for the interned representation core (lib/repr) and the
    layers rebuilt on top of it.  Each property checks the packed
    implementation against a straightforward structural model built in the
-   test itself: Bitset against [Set.Make (Int)], Relation against sorted
-   tuple lists, Cq.eval against a naive value-level join, and the bit-set
+   test suite: Bitset against [Set.Make (Int)], Relation against sorted
+   tuple lists, Cq.eval against the nested-loop oracle, and the bit-set
    automata against a set-based epsilon-closure simulation. *)
 
 module R = Relational
@@ -225,51 +225,8 @@ let prop_relation_add_remove =
          = List.filter (fun t' -> not (R.Tuple.equal t t')) (model_of ts))
 
 (* ------------------------------------------------------------------ *)
-(* Cq.eval (three strategies) vs a naive value-level join              *)
+(* Cq.eval vs the nested-loop value-level join                         *)
 (* ------------------------------------------------------------------ *)
-
-(* Reference: enumerate substitutions by scanning relations in textual atom
-   order at the Value level, then filter by inequalities — the pre-interning
-   semantics, restated independently of the library's evaluator. *)
-let naive_cq_eval (q : R.Cq.t) db =
-  let rec go env = function
-    | [] -> [ env ]
-    | (a : R.Atom.t) :: rest ->
-      let rel = R.Database.find a.rel db in
-      R.Relation.fold
-        (fun tuple acc ->
-          let rec unify env args i =
-            match args with
-            | [] -> Some env
-            | R.Term.Const v :: tl ->
-              if R.Value.equal v (R.Tuple.get tuple i) then unify env tl (i + 1)
-              else None
-            | R.Term.Var x :: tl -> (
-              match R.Subst.extend x (R.Tuple.get tuple i) env with
-              | Some env -> unify env tl (i + 1)
-              | None -> None)
-          in
-          match unify env a.args 0 with
-          | Some env -> go env rest @ acc
-          | None -> acc)
-        rel []
-  in
-  let term_val env = function
-    | R.Term.Const v -> v
-    | R.Term.Var x -> Option.get (R.Subst.find x env)
-  in
-  go R.Subst.empty q.R.Cq.body
-  |> List.filter (fun env ->
-         List.for_all
-           (fun (a, b) ->
-             not (R.Value.equal (term_val env a) (term_val env b)))
-           q.R.Cq.neqs)
-  |> List.fold_left
-       (fun rel env ->
-         R.Relation.add
-           (R.Tuple.of_list (List.map (term_val env) q.R.Cq.head))
-           rel)
-       (R.Relation.empty (R.Cq.head_arity q))
 
 let gen_edge_db =
   QCheck.Gen.(
@@ -309,15 +266,11 @@ let cq_pool =
       ();
   ]
 
-let prop_cq_strategies_agree =
+let prop_cq_matches_oracle =
   QCheck.Test.make ~count:100
-    ~name:"cq eval: naive/greedy/indexed agree with the value-level model"
+    ~name:"cq eval: indexed join = nested-loop oracle"
     (QCheck.make QCheck.Gen.(pair (oneofl cq_pool) gen_edge_db))
-    (fun (q, db) ->
-      let expected = naive_cq_eval q db in
-      List.for_all
-        (fun s -> R.Relation.equal (R.Cq.eval ~strategy:s q db) expected)
-        [ `Naive; `Greedy; `Indexed ])
+    (fun (q, db) -> R.Relation.equal (R.Cq.eval q db) (Oracle.cq_eval q db))
 
 (* ------------------------------------------------------------------ *)
 (* Bit-set NFA/DFA vs a Set.Make (Int) simulation                      *)
@@ -447,7 +400,7 @@ let suite =
     Alcotest.test_case "ituple basics" `Quick test_ituple_basics;
     QCheck_alcotest.to_alcotest prop_relation_model;
     QCheck_alcotest.to_alcotest prop_relation_add_remove;
-    QCheck_alcotest.to_alcotest prop_cq_strategies_agree;
+    QCheck_alcotest.to_alcotest prop_cq_matches_oracle;
     QCheck_alcotest.to_alcotest prop_nfa_bitset_agrees;
     QCheck_alcotest.to_alcotest prop_nfa_step_post;
     QCheck_alcotest.to_alcotest prop_bitset_accumulator;

@@ -41,6 +41,12 @@ let error_code j =
     match J.member "code" e with Some (J.String c) -> c | _ -> "?")
   | None -> "?"
 
+let error_message j =
+  match J.member "error" j with
+  | Some e -> (
+    match J.member "message" e with Some (J.String m) -> m | _ -> "?")
+  | None -> "?"
+
 let trace_id j =
   match J.member "trace_id" j with Some (J.String s) -> s | _ -> "?"
 
@@ -125,6 +131,23 @@ let test_malformed_never_kills_connection () =
                 {|{"method":"register","params":{"name":"\u1_23","spec":"a"}}|};
               let r = response_exn (Server.Client.recv c) in
               check_string "lenient escape rejected" "parse_error" (error_code r);
+              (* the retired language-engine selector is an unknown
+                 parameter like any other *)
+              List.iter
+                (fun (meth, params) ->
+                  let r =
+                    response_exn
+                      (Server.Client.call c ~meth
+                         ~params:(("strategy", J.String "eager") :: params))
+                  in
+                  check_string (meth ^ " with strategy") "bad_request" (error_code r);
+                  check_string (meth ^ " names strategy")
+                    {|unknown parameter "strategy"|} (error_message r))
+                [
+                  ("check", [ ("service", J.String "(a|b)*a(a|b)") ]);
+                  ( "equivalence",
+                    [ ("left", J.String "ab"); ("right", J.String "ba") ] );
+                ];
               (* the abused connection still works... *)
               let r = response_exn (Server.Client.call c ~meth:"ping" ~params:[]) in
               check_string "connection survives" "ok" (status r);
