@@ -20,9 +20,11 @@
                                                        writes BENCH_cache.json)
      dune exec bench/main.exe -- --json FILE           also write a
                                                        machine-readable report
-     dune exec bench/main.exe -- --jobs N              run on N domains
-                                                       (the scaling section
-                                                       sweeps 1/2/4/8 itself)
+     dune exec bench/main.exe -- --jobs N              run on N domains,
+                                                       N >= 1 (the scaling
+                                                       section sweeps its
+                                                       data-parallel kernels
+                                                       over 1/2/4/8 itself)
 
    With [--json FILE] every printed series also lands in a JSON report
    (schema below) carrying per-point medians, the engine counter deltas
@@ -58,10 +60,16 @@ let json_path =
 
 (* --jobs N: run the whole harness on N domains.  The parallel-scaling
    section sweeps its own job counts per row and restores this setting
-   afterwards. *)
+   afterwards.  A missing, non-numeric or non-positive N exits 2 rather
+   than silently running at the default job count. *)
 let cli_jobs =
   let rec find = function
-    | "--jobs" :: n :: _ -> int_of_string_opt n
+    | "--jobs" :: rest -> (
+      match Option.bind (List.nth_opt rest 0) int_of_string_opt with
+      | Some n when n >= 1 -> Some n
+      | _ ->
+        prerr_endline "bench: --jobs expects a positive integer";
+        exit 2)
     | _ :: rest -> find rest
     | [] -> None
   in
@@ -836,17 +844,14 @@ let parallel_scaling () =
   scale
     (Printf.sprintf "indexed 4-chain join (%d-edge line graph)" join_n)
     (fun () -> ignore (R.Cq.eval join_q join_db));
-  (* engine candidate fan-out: the full MDT_b plan space against an
-     unmatchable goal, so every candidate is expanded *)
-  let fanout_components =
-    [ ("A", nfa2 "ab"); ("B", nfa2 "ba"); ("C", nfa2 "aa") ]
-  in
-  let fanout_goal = nfa2 "bbb" in
-  scale "mdtb candidate fan-out (full 444-plan space, no match)" (fun () ->
-      ignore
-        (Compose.compose_mdtb
-           ~budget:(Engine.Budget.of_depth 2)
-           ~goal:fanout_goal ~components:fanout_components ()));
+  (* shortest accepted word: the pool's [parallel_frontier] BFS over the
+     subset construction, through the 2^k frontier family followed by
+     [bbbb], so the witness sits k + 4 levels deep *)
+  let sw_k = if quick then 12 else 14 in
+  let sw_nfa = Nfa.concat (kth_from_end_nfa sw_k) (nfa2 "bbbb") in
+  scale
+    (Printf.sprintf "shortest_word chain (k = %d, then bbbb)" sw_k)
+    (fun () -> ignore (Nfa.shortest_word sw_nfa));
   let open Obs.Json in
   parallel_json :=
     Obj

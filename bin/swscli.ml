@@ -50,8 +50,8 @@ let jobs_flag =
     & opt (some int) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run the parallel kernels (determinization, indexed joins, \
-           candidate fan-out) on $(docv) domains.  Defaults to \\$SWS_JOBS \
+          "Run the data-parallel kernels (determinization, shortest \
+           words, indexed joins) on $(docv) domains.  Defaults to \\$SWS_JOBS \
            or the machine's recommended domain count; 1 forces the \
            sequential path.  Results are identical at every job count.")
 

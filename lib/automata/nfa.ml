@@ -129,9 +129,9 @@ let closure_of_state n q =
 
 (* Fill the closure memo for every state.  Called before handing the
    automaton to a domain pool: the memo write in [closure_of_state] is a
-   benign race (every filler computes the same closure), but prefilling
-   sequentially keeps the parallel sections free of shared-state writes
-   entirely. *)
+   benign race (every filler computes the same closure), but filling it
+   sequentially first keeps the parallel sections free of shared-state
+   writes entirely. *)
 let warm_closures n =
   for q = 0 to n.num_states - 1 do
     ignore (closure_of_state n q)

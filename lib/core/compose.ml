@@ -394,19 +394,14 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2) ~goal ~components
         base_chains
   in
   (* The per-plan equivalence check against the goal language keeps the
-     goal an NFA — its closure memo is warmed before the parallel rounds
-     so worker domains only read it — and runs the antichain product per
-     plan.
+     goal an NFA and runs the antichain product per plan.
 
      Every candidate combines at most two base chains, so each chain's NFA
      (and, for [Minus] operands, its minimized DFA: same language, smaller
      difference product) is memoized for the rest of the call instead of
      rebuilding both operands per candidate.  The memo fills on first use:
      a search whose budget trips after a plan or two builds only those
-     plans' chains.  [prefill] forces a plan's entries; the search calls it
-     sequentially on a whole round before handing the round to the pool,
-     so worker domains only read the memo (and the chains' warmed
-     closures).
+     plans' chains.
 
      Most candidates differ from the goal on a short word, and one such
      word refutes many plans.  So the search keeps the counterexamples of
@@ -417,11 +412,8 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2) ~goal ~components
      plan's verdict on a word combines its chains' verdicts ([Nfa.accepts]
      on the memoized chain NFA, memoized per chain and word) by
      [plan_accepts].  Only survivors get a product and an exact check
-     ([check]), whose counterexample is [learn]ed.  [refute] and [learn]
-     run on the calling domain only. *)
+     ([check]), whose counterexample is [learn]ed. *)
   let env = List.map (fun (n, c) -> (n, minimal_prefix_nfa c)) components in
-  Nfa.warm_closures goal;
-  List.iter (fun (_, n) -> Nfa.warm_closures n) env;
   let memo tbl build key =
     match Hashtbl.find_opt tbl key with
     | Some v -> v
@@ -431,12 +423,7 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2) ~goal ~components
       v
   in
   let nfas = Hashtbl.create 16 and dfas = Hashtbl.create 16 in
-  let chain_nfa =
-    memo nfas (fun c ->
-        let n = plan_language_nfa ~env ~alphabet_size c in
-        Nfa.warm_closures n;
-        n)
-  in
+  let chain_nfa = memo nfas (plan_language_nfa ~env ~alphabet_size) in
   let chain_dfa c =
     memo dfas (fun c -> Dfa.minimize (Dfa.of_nfa (chain_nfa c))) c
   in
@@ -458,11 +445,6 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2) ~goal ~components
         plan_accepts ~chain_accepts:(chain_accepts w) plan <> goal_accepts)
       !tests
   in
-  let prefill = function
-    | Union (a, b) | Inter (a, b) -> ignore (chain_nfa a, chain_nfa b)
-    | Minus (a, b) -> ignore (chain_dfa a, chain_dfa b)
-    | (Invoke _ | Chain _) as c -> ignore (chain_nfa c)
-  in
   let check plan =
     try
       match Lang.equivalent_cex (plan_nfa plan) goal with
@@ -472,27 +454,8 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2) ~goal ~components
     with Not_found -> `Differs None
   in
   let learn w = tests := (w, Nfa.accepts goal w) :: !tests in
-  (* Round-based search: the budget is checked before each round and every
-     plan of a round is ticked and tested — on the domain pool when several
-     jobs are configured.  With one job the round size is 1, which is
-     exactly the sequential loop (check, tick, test, next); with more jobs
-     the first matching plan in candidate order still wins, and a budget
-     trip can only happen having expanded at least as many plans as the
-     sequential search would have.  A round's refutations run on the
-     calling domain before it, and its counterexamples are learned there
-     after it, in candidate order; so the test words can differ between
-     job counts, but no verdict can. *)
-  let round_size =
-    let jobs = Par.Pool.effective_jobs () in
-    if jobs <= 1 then 1 else 2 * jobs
-  in
-  let rec split_round k = function
-    | [] -> ([], [])
-    | plans when k = 0 -> ([], plans)
-    | plan :: rest ->
-      let batch, tail = split_round (k - 1) rest in
-      (plan :: batch, tail)
-  in
+  (* Every plan is ticked, refuted or not, so [plans_checked] and every
+     trip are those of checking each plan in full. *)
   let rec search = function
     | [] ->
       No_mediator_within_bound
@@ -501,30 +464,18 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2) ~goal ~components
               "no boolean combination of chains of length <= %d matches \
                the goal"
               bound))
-    | plans -> (
+    | plan :: rest -> (
       match Engine.Meter.check meter ~depth:bound with
       | Error e -> No_mediator_within_bound e
-      | Ok () ->
-        let batch, rest = split_round round_size plans in
-        let batch = List.map (fun plan -> (plan, refute plan)) batch in
-        if round_size > 1 then
-          List.iter (fun (plan, refuted) -> if not refuted then prefill plan) batch;
-        let results =
-          Par.Pool.parallel_list_map
-            (fun (plan, refuted) ->
-              Engine.Meter.tick meter;
-              (plan, if refuted then `Differs None else check plan))
-            batch
-        in
-        match
-          List.find_map
-            (function plan, `Equivalent -> Some plan | _ -> None)
-            results
-        with
-        | Some plan -> Found plan
-        | None ->
-          List.iter (function _, `Differs (Some w) -> learn w | _ -> ()) results;
-          search rest)
+      | Ok () -> (
+        Engine.Meter.tick meter;
+        if refute plan then search rest
+        else
+          match check plan with
+          | `Equivalent -> Found plan
+          | `Differs w ->
+            Option.iter learn w;
+            search rest))
   in
   search candidates
 
@@ -699,16 +650,14 @@ let compose_bounded_search ?stats ?(budget = Engine.Budget.of_nodes 60)
     List.map single names
     @ List.concat_map (fun a -> List.map (fun b -> chain2 a b) names) names
   in
-  (* Candidate mediators are sample-checked independently (each
-     [equiv_check] seeds its own PRNG), so the scan fans out across the
-     domain pool; the first agreeing mediator in enumeration order wins at
-     every job count. *)
+  (* The first mediator in enumeration order that agrees with the goal on
+     the samples wins. *)
   let ok m =
     match Mediator.equiv_check ?stats ~budget ~goal m with
     | Mediator.Agree_on_samples _ -> Some m
     | Mediator.Differ _ -> None
   in
-  match Engine.find_first ok candidates with
+  match List.find_map ok candidates with
   | Some m -> Candidate m
   | None ->
     None_within_bound

@@ -394,11 +394,8 @@ let cq_non_emptiness ?stats ?budget sws =
     Engine.scan ?stats ~budget ?decisive_bound ~name:"cq_non_emptiness"
       (fun meter n ->
         let q = Unfold.to_ucq ?stats sws ~n in
-        (* Disjuncts are independent: partition consistency of one never
-           depends on another, so the scan fans out across the domain pool.
-           [find_first] keeps the sequential answer — the first disjunct in
-           UCQ order with a consistent partition. *)
-        Engine.find_first
+        (* The first disjunct in UCQ order with a consistent partition. *)
+        List.find_map
           (fun (d : R.Cq.t) ->
             Engine.Meter.tick meter;
             match R.Cq.partitions d with
@@ -508,12 +505,8 @@ let cq_validation ?stats ?budget ?(max_assignments = 4096) sws ~output =
           end
           else candidates
         in
-        (* Candidate assignments are evaluated independently (the grounded
-           databases were all built above, sequentially, from one null
-           supply), so the re-evaluation check fans out across the pool;
-           the first reproducing candidate in assignment order wins, as in
-           the sequential search. *)
-        Engine.find_first
+        (* The first reproducing candidate in assignment order wins. *)
+        List.find_map
           (fun dbs ->
             Engine.Meter.tick meter;
             let db =

@@ -392,9 +392,10 @@ module Meter = struct
     stats : Stats.t;
     started_ns : int64;  (* Obs.Clock.now_ns at creation, for the deadline *)
     nodes : int Atomic.t;
-        (* Atomic: candidates of one depth tick from every pool domain, and
-           an [Exhausted] record must carry the full count of work actually
-           done — a lost increment would under-report it. *)
+        (* Atomic, so a meter stays exact if it is ever ticked from more
+           than one domain: an [Exhausted] record must carry the full count
+           of work actually done, and a lost increment would under-report
+           it. *)
   }
 
   let create ?(stats = Stats.global) budget =
@@ -509,38 +510,6 @@ let scan ?(stats = Stats.global) ?(budget = Budget.unlimited) ?decisive_bound
       duration_ns = Obs.Clock.elapsed_ns t0;
     };
   result
-
-(* ------------------------------------------------------------------ *)
-(* Candidate fan-out                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let rec split_at k = function
-  | [] -> ([], [])
-  | xs when k = 0 -> ([], xs)
-  | x :: rest ->
-    let batch, tail = split_at (k - 1) rest in
-    (x :: batch, tail)
-
-let find_first ?round probe candidates =
-  let jobs = Par.Pool.effective_jobs () in
-  if jobs <= 1 then List.find_map probe candidates
-  else begin
-    let round =
-      match round with Some r when r > 0 -> r | _ -> 2 * jobs
-    in
-    let rec go = function
-      | [] -> None
-      | candidates ->
-        let batch, rest = split_at round candidates in
-        let results = Par.Pool.parallel_list_map probe batch in
-        (* first success in list order: same winner the sequential
-           [List.find_map] picks, whatever the domains did *)
-        (match List.find_map Fun.id results with
-        | Some _ as found -> found
-        | None -> go rest)
-    in
-    go candidates
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Budget-monotone result memoization                                  *)

@@ -243,21 +243,6 @@ val scan :
   (Meter.t -> int -> 'a option) ->
   'a scan_outcome
 
-(** {1 Candidate fan-out}
-
-    [find_first probe candidates] is [List.find_map probe candidates],
-    evaluated across the domain pool in rounds of [round] candidates
-    (default twice the job count).  The result is deterministic: the first
-    candidate in list order whose probe answers wins, at every job count.
-    [probe] must be safe to run on pool domains; its [Meter.tick]s land in
-    the (atomic) meter and per-domain stats shards, so a later budget trip
-    reports at least as much work as was actually done — probes of a round
-    all run even if an earlier one succeeds, so tick counts with several
-    jobs can exceed the sequential count at the decisive depth, never
-    undercut it.  With one job this is exactly [List.find_map] — same
-    probes, same ticks, same answer. *)
-val find_first : ?round:int -> ('a -> 'b option) -> 'a list -> 'b option
-
 (** {1 Budget-monotone result memoization}
 
     [Memo] wraps {!run} with a process-lifetime, domain-safe result

@@ -256,16 +256,6 @@ let parallel_list_map f xs =
   | [ x ] -> [ f x ]
   | _ -> Array.to_list (parallel_map f (Array.of_list xs))
 
-let parallel_fold ~map ~combine ~init arr =
-  let n = Array.length arr in
-  let j = effective_jobs () in
-  if n = 0 then init
-  else if j <= 1 || n < 2 then
-    Array.fold_left (fun acc x -> combine acc (map x)) init arr
-  else
-    let mapped = parallel_map map arr in
-    Array.fold_left combine init mapped
-
 let parallel_frontier ~expand ~register ~roots =
   let rec level frontier =
     match frontier with

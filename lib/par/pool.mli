@@ -12,7 +12,15 @@
     order, so the output is independent of how the OS schedules domains.
     With an effective job count of 1 every combinator degrades to a plain
     inline loop on the calling domain — no pool, no locks, no domains —
-    which is what makes [--jobs 1] bit-identical to the pre-pool code. *)
+    which is what makes [--jobs 1] bit-identical to the pre-pool code.
+
+    Parallelism inside a kernel has one grain, a data-parallel split of
+    one step: a BFS level ([Dfa.of_nfa], and [Nfa.shortest_word] through
+    {!parallel_frontier}) or a join's root branches ([Cq]).  Candidate
+    scans (MDT_b plans, UCQ disjuncts, mediators) stay sequential: on two
+    cores, rounds of candidates handed to the pool lost to the plain loop
+    or gained at most 0.05 ms a call (EXPERIMENTS.md).  The server's
+    request hop is {!async}. *)
 
 val default_jobs : unit -> int
 (** Job count used when {!set_jobs} has not been called: [SWS_JOBS] from the
@@ -67,14 +75,6 @@ val parallel_map : ('a -> 'b) -> 'a array -> 'b array
 
 val parallel_list_map : ('a -> 'b) -> 'a list -> 'b list
 (** {!parallel_map} for lists (input order preserved). *)
-
-val parallel_fold :
-  map:('a -> 'b) -> combine:('b -> 'b -> 'b) -> init:'b -> 'a array -> 'b
-(** [parallel_fold ~map ~combine ~init arr] maps every element across the
-    pool, then combines per-chunk results left-to-right in chunk order:
-    [combine (... (combine init b0) ...) bn].  Deterministic for any
-    [combine]; equal to the sequential fold whenever [combine] is
-    associative over the mapped values. *)
 
 val parallel_frontier :
   expand:('s -> 'd list) ->

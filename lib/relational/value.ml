@@ -51,9 +51,9 @@ let to_string v = Fmt.str "%a" pp v
    that accumulates canonical databases must thread a single supply through
    all of its freezes (Cq.contained_in_many, Decision.cq_validation). *)
 module Fresh = struct
-  (* Atomic so a supply threaded through a parallel candidate fan-out never
-     mints the same null twice (a lost increment would alias two distinct
-     frozen constants and make containment tests spuriously succeed). *)
+  (* Atomic so a supply used from more than one domain never mints the
+     same null twice (a lost increment would alias two distinct frozen
+     constants and make containment tests spuriously succeed). *)
   type supply = int Atomic.t
 
   let supply () = Atomic.make 0

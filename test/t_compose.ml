@@ -171,9 +171,9 @@ let mdtb_env components =
 (* The memo-free reference for [compose_mdtb]'s lazy arm: the same
    candidates, each plan's language rebuilt from scratch by
    [Compose.plan_language_nfa] and checked in full (no memo, no test-word
-   refutation), and the search's accounting restated — rounds of [round]
-   plans, the node budget checked before each round. *)
-let mdtb_reference ~round ~bound ~max_nodes ~goal ~components =
+   refutation), and the search's accounting restated — the node budget
+   checked before each plan. *)
+let mdtb_reference ~bound ~max_nodes ~goal ~components =
   let env = mdtb_env components in
   let alphabet_size = Nfa.alphabet_size goal in
   let matches plan =
@@ -182,20 +182,10 @@ let mdtb_reference ~round ~bound ~max_nodes ~goal ~components =
       goal
     = Ok true
   in
-  let rec split k = function
-    | x :: rest when k > 0 ->
-      let batch, tail = split (k - 1) rest in
-      (x :: batch, tail)
-    | l -> ([], l)
-  in
   let rec go checked = function
     | [] -> `Exhausted (`Candidates, checked)
     | _ when checked >= max_nodes -> `Exhausted (`Nodes, checked)
-    | plans -> (
-      let batch, rest = split round plans in
-      match List.find_opt matches batch with
-      | Some p -> `Found p
-      | None -> go (checked + List.length batch) rest)
+    | plan :: rest -> if matches plan then `Found plan else go (checked + 1) rest
   in
   go 0 (mdtb_candidates ~bound (List.map fst components))
 
@@ -260,12 +250,8 @@ let prop_mdtb_memo_matches_reference =
         if max_nodes = max_int then Engine.Budget.of_depth 2
         else Engine.Budget.make ~max_depth:2 ~max_nodes ()
       in
+      let expected = mdtb_reference ~bound:2 ~max_nodes ~goal ~components in
       let agrees jobs =
-        let expected =
-          mdtb_reference
-            ~round:(if jobs <= 1 then 1 else 2 * jobs)
-            ~bound:2 ~max_nodes ~goal ~components
-        in
         Par.Pool.set_jobs (Some jobs);
         Engine.set_caching false;
         let got =
@@ -324,7 +310,7 @@ let test_mdtb_refutation_fires () =
   in
   let reference, reference_pairs =
     explored (fun () ->
-        mdtb_reference ~round:1 ~bound:2 ~max_nodes:max_int ~goal ~components)
+        mdtb_reference ~bound:2 ~max_nodes:max_int ~goal ~components)
   in
   let got, pairs =
     Par.Pool.set_jobs (Some 1);

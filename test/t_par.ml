@@ -2,9 +2,11 @@
    paths wired through it.  The sequential run is the reference semantics:
    every property forces --jobs 1 and --jobs 4 explicitly and demands
    identical answers — identical DFAs from determinization, identical
-   substitution lists from the three join strategies, identical scan
-   outcomes from the candidate fan-out.  A separate stress test hammers
-   the interner and the scan-array cache from eight raw domains. *)
+   witnesses from the shortest-word BFS, identical substitution lists from
+   the indexed join, and identical outcomes (budget trips included) from
+   the candidate scans, which run sequentially at every job count.  A
+   separate stress test hammers the interner and the scan-array cache from
+   eight raw domains. *)
 
 module R = Relational
 module Nfa = Automata.Nfa
@@ -26,16 +28,14 @@ let gen_ints = QCheck.Gen.(array_size (0 -- 60) (0 -- 1000))
 
 let prop_combinators_agree =
   QCheck.Test.make ~count:100
-    ~name:"parallel combinators = sequential map/fold at 4 jobs"
+    ~name:"parallel combinators = sequential map at 4 jobs"
     (QCheck.make gen_ints)
     (fun arr ->
       let f x = (x * 7) + 3 in
       with_jobs 4 (fun () ->
           Par.Pool.parallel_map f arr = Array.map f arr
           && Par.Pool.parallel_list_map f (Array.to_list arr)
-             = List.map f (Array.to_list arr)
-          && Par.Pool.parallel_fold ~map:f ~combine:( + ) ~init:0 arr
-             = Array.fold_left (fun acc x -> acc + f x) 0 arr))
+             = List.map f (Array.to_list arr)))
 
 let test_combinator_edges () =
   with_jobs 4 (fun () ->
@@ -144,7 +144,7 @@ let prop_shortest_word_jobs_agree =
       = with_jobs 4 (fun () -> Nfa.shortest_word nfa))
 
 (* ------------------------------------------------------------------ *)
-(* Indexed joins: identical relations, all three strategies             *)
+(* Indexed joins: identical relations, oracle answers                   *)
 (* ------------------------------------------------------------------ *)
 
 let line_graph_db n =
@@ -191,60 +191,140 @@ let prop_cq_jobs_agree =
       && R.Relation.equal (with_jobs 4 (fun () -> R.Cq.eval q db)) expected)
 
 (* ------------------------------------------------------------------ *)
-(* Candidate fan-out: identical scan outcomes, Exhausted soundness       *)
+(* Candidate scans: identical outcomes and budget trips at every job     *)
+(* count                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_find_first_agrees () =
-  let candidates = List.init 100 Fun.id in
-  let probe x = if x > 0 && x mod 17 = 0 then Some x else None in
-  let r1 = with_jobs 1 (fun () -> Engine.find_first probe candidates) in
-  let r4 = with_jobs 4 (fun () -> Engine.find_first probe candidates) in
-  check "first match in list order" true (r1 = Some 17 && r4 = Some 17);
-  check "no match agrees" true
-    (with_jobs 4 (fun () ->
-         Engine.find_first (fun _ -> None) candidates = None));
-  (* the winner is the first in candidate order even when a later
-     candidate of the same round also matches *)
-  let probe_many x = if x >= 40 then Some x else None in
-  check "ties break to list order" true
-    (with_jobs 4 (fun () -> Engine.find_first probe_many candidates)
-    = Some 40)
+(* [f] at a forced job count with the result memo off, so each run
+   computes its answer rather than serving the other's. *)
+let uncached jobs f =
+  Engine.set_caching false;
+  Fun.protect ~finally:(fun () -> Engine.set_caching true) (fun () ->
+      with_jobs jobs f)
 
-(* A scan whose probe fans out over candidates: the outcome — including a
-   budget trip — must be identical at jobs 1 and 4, and the node count at
-   the trip must never be smaller with more jobs (Exhausted soundness:
-   parallel rounds may overshoot at the decisive depth, never undercount). *)
-let test_scan_outcomes_agree () =
-  let scan_with target =
-    Engine.scan ~stats:(Engine.Stats.create ())
-      ~budget:(Engine.Budget.of_nodes 40) ~name:"t_par_scan" (fun meter n ->
-        Engine.find_first
-          (fun c ->
-            Engine.Meter.tick meter;
-            if (n * 10) + c = target then Some (n, c) else None)
-          (List.init 10 Fun.id))
+let tv = R.Term.var
+let cqm ?neqs head body = R.Cq.make ?neqs ~head ~body ()
+
+(* A recursive lookup service whose leaf synthesis is [psi]: every input
+   length unfolds to more disjuncts, so the non-emptiness scan is a
+   budget-bounded semi-procedure. *)
+let recursive_service psi =
+  let copy2 =
+    Sws_data.Q_ucq
+      (R.Ucq.make
+         [
+           cqm [ tv "x"; tv "y" ] [ R.Atom.make "act1" [ tv "x"; tv "y" ] ];
+           cqm [ tv "x"; tv "y" ] [ R.Atom.make "act2" [ tv "x"; tv "y" ] ];
+         ])
   in
-  (* decisive answer at depth 3 *)
-  let f1 = with_jobs 1 (fun () -> scan_with 35) in
-  let f4 = with_jobs 4 (fun () -> scan_with 35) in
-  check "found outcome agrees" true
-    (match (f1, f4) with
-    | Engine.Found w1, Engine.Found w4 -> w1 = (3, 5) && w4 = (3, 5)
+  let phi = Sws_data.Q_cq (cqm [ tv "x" ] [ R.Atom.make "in" [ tv "x" ] ]) in
+  Sws_data.make
+    ~db_schema:(R.Schema.of_list [ ("pr", 2) ])
+    ~in_arity:1 ~out_arity:2 ~start:"q0"
+    ~rules:
+      [
+        ("q0", { Sws_def.succs = [ ("qs", phi); ("qa", phi) ]; synth = copy2 });
+        ("qs", { Sws_def.succs = [ ("qs", phi); ("qa", phi) ]; synth = copy2 });
+        ("qa", { Sws_def.succs = []; synth = psi });
+      ]
+
+(* two satisfiable leaf disjuncts: the scan's decisive depth has more
+   than one candidate, and the first one answers *)
+let witness_service =
+  let leaf =
+    cqm [ tv "x"; tv "y" ]
+      [ R.Atom.make "msg" [ tv "x" ]; R.Atom.make "pr" [ tv "x"; tv "y" ] ]
+  in
+  recursive_service (Sws_data.Q_ucq (R.Ucq.make [ leaf; leaf ]))
+
+(* the leaf's inequality x <> x is unsatisfiable: the scan can only trip *)
+let empty_service =
+  recursive_service
+    (Sws_data.Q_cq
+       (cqm ~neqs:[ (tv "x", tv "x") ] [ tv "x"; tv "x" ]
+          [ R.Atom.make "msg" [ tv "x" ] ]))
+
+let same_exhausted (a : Engine.exhausted) (b : Engine.exhausted) =
+  a.limit = b.limit
+  && a.depth_reached = b.depth_reached
+  && a.nodes_expanded = b.nodes_expanded
+
+(* The first match in candidate order, at jobs 1 and 4: the first UCQ
+   disjunct with a consistent partition, and the first mediator that
+   agrees with the goal on the samples. *)
+let test_candidate_scans_agree () =
+  let non_empty () =
+    Decision.cq_non_emptiness ~budget:(Engine.Budget.of_depth 4)
+      witness_service
+  in
+  check "cq_non_emptiness: same witness" true
+    (match (uncached 1 non_empty, uncached 4 non_empty) with
+    | Decision.Yes (db1, in1, t1), Decision.Yes (db4, in4, t4) ->
+      R.Database.equal db1 db4
+      && List.equal R.Relation.equal in1 in4
+      && R.Tuple.equal t1 t4
     | _ -> false);
-  (* unreachable target: the node budget trips *)
-  let e1 = with_jobs 1 (fun () -> scan_with (-1)) in
-  let e4 = with_jobs 4 (fun () -> scan_with (-1)) in
-  check "exhausted outcome agrees and never under-reports" true
-    (match (e1, e4) with
-    | Engine.Exhausted a, Engine.Exhausted b ->
-      a.Engine.limit = `Nodes
-      && b.Engine.limit = `Nodes
-      && a.Engine.depth_reached = b.Engine.depth_reached
-      && b.Engine.nodes_expanded >= a.Engine.nodes_expanded
+  let db_schema = R.Schema.of_list [ ("r", 2); ("s", 2) ] in
+  let service rel =
+    Compose.query_service ~db_schema
+      (cqm [ tv "x"; tv "y" ] [ R.Atom.make rel [ tv "x"; tv "y" ] ])
+  in
+  let search goal components () =
+    Compose.compose_bounded_search ~db_schema ~goal ~components ()
+  in
+  let shown m =
+    Fmt.str "%a"
+      (Sws_def.pp Fmt.string Sws_data.pp_query)
+      (Mediator.def m)
+  in
+  (* the goal is the third component: two single invocations are refuted
+     first *)
+  let components = [ ("vs", service "s"); ("vs2", service "s"); ("vr", service "r") ] in
+  check "compose_bounded_search: same mediator" true
+    (match
+       ( uncached 1 (search (service "r") components),
+         uncached 4 (search (service "r") components) )
+     with
+    | Compose.Candidate m1, Compose.Candidate m4 -> shown m1 = shown m4
+    | _ -> false);
+  let components = [ ("vs", service "s") ] in
+  check "compose_bounded_search: same miss" true
+    (match
+       ( uncached 1 (search (service "r") components),
+         uncached 4 (search (service "r") components) )
+     with
+    | Compose.None_within_bound e1, Compose.None_within_bound e4 ->
+      same_exhausted e1 e4
     | _ -> false)
 
-(* End-to-end through a bounded procedure: the round-based mdtb search
-   must return the same mediator plan at every job count. *)
+(* A non-emptiness scan under a node budget: the witness, and the trip on
+   a service with none, are identical at jobs 1 and 4, and so is the work
+   done — no candidate runs past the first decisive one. *)
+let test_scan_outcomes_agree () =
+  let run svc jobs =
+    let stats = Engine.Stats.create () in
+    let r =
+      uncached jobs (fun () ->
+          Decision.cq_non_emptiness ~stats
+            ~budget:(Engine.Budget.of_nodes 40) svc)
+    in
+    (r, Engine.Stats.nodes_expanded stats)
+  in
+  let (f1, n1), (f4, n4) = (run witness_service 1, run witness_service 4) in
+  check "found outcome agrees" true
+    (match (f1, f4) with
+    | Decision.Yes (db1, _, t1), Decision.Yes (db4, _, t4) ->
+      R.Database.equal db1 db4 && R.Tuple.equal t1 t4
+    | _ -> false);
+  Alcotest.(check int) "found after the same nodes" n1 n4;
+  check "exhausted outcome is identical" true
+    (match (fst (run empty_service 1), fst (run empty_service 4)) with
+    | Decision.Exhausted a, Decision.Exhausted b ->
+      a.Engine.limit = `Nodes && same_exhausted a b
+    | _ -> false)
+
+(* End-to-end through the MDT_b search: the same mediator plan, and the
+   same budget trip, at every job count. *)
 let test_compose_mdtb_agrees () =
   let sym a = Nfa.symbol 2 a in
   let components = [ ("A", sym 0); ("B", sym 1) ] in
@@ -253,10 +333,26 @@ let test_compose_mdtb_agrees () =
     Compose.compose_mdtb ~budget:(Engine.Budget.of_depth 2) ~goal ~components
       ()
   in
-  let r1 = with_jobs 1 run and r4 = with_jobs 4 run in
+  let r1 = uncached 1 run and r4 = uncached 4 run in
   check "same plan found" true
     (match (r1, r4) with
     | Compose.Found p1, Compose.Found p4 -> p1 = p4
+    | _ -> false);
+  (* no plan over three components matches [bbb]; 50 of the 444 plans
+     fit the node budget *)
+  let nfa2 r = Nfa.of_regex ~alphabet_size:2 (Automata.Regex.parse r) in
+  let trip () =
+    Compose.compose_mdtb
+      ~budget:(Engine.Budget.make ~max_depth:2 ~max_nodes:50 ())
+      ~goal:(nfa2 "bbb")
+      ~components:[ ("A", nfa2 "ab"); ("B", nfa2 "ba"); ("C", nfa2 "aa") ]
+      ()
+  in
+  check "same trip" true
+    (match (uncached 1 trip, uncached 4 trip) with
+    | Compose.No_mediator_within_bound a, Compose.No_mediator_within_bound b ->
+      a.Engine.limit = `Nodes && a.Engine.nodes_expanded = 50
+      && same_exhausted a b
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -348,8 +444,8 @@ let suite =
       test_dfa_exponential_family;
     QCheck_alcotest.to_alcotest prop_shortest_word_jobs_agree;
     QCheck_alcotest.to_alcotest prop_cq_jobs_agree;
-    Alcotest.test_case "find_first agrees across job counts" `Quick
-      test_find_first_agrees;
+    Alcotest.test_case "candidate scans agree across job counts" `Quick
+      test_candidate_scans_agree;
     Alcotest.test_case "scan outcomes agree, Exhausted is sound" `Quick
       test_scan_outcomes_agree;
     Alcotest.test_case "compose_mdtb agrees across job counts" `Quick
