@@ -651,7 +651,7 @@ let line_graph_db n =
    re-derives every depth-(n-1) subtree, and the twin successors make the
    uncached tree exponential while the memo store collapses it.  (b) The
    repeated-determinization workload of pl_validation / pl_equivalence:
-   uncached, every call walks the vector DFA -> NFA -> DFA chain again.
+   uncached, every call rebuilds the service's vector DFA.
    Both are toggled with [Engine.set_caching], same code path otherwise;
    the stats counters confirm the hits are real. *)
 let engine_cache_ablation () =
@@ -683,10 +683,11 @@ let engine_cache_ablation () =
         (Engine.Stats.unfold_cache_misses stats))
     unfold_depths;
   (* Since the process-lifetime store (§4h) sits above the per-structure
-     chain slots, the prep clears both: otherwise the decision-class memo
-     answers every call after the first and the row would measure that
-     store, not the chain.  As is, round 1 rebuilds the chain and shares
-     it across validation/equivalence; rounds 2–3 hit the decision memo. *)
+     vector-DFA slot, the prep clears both: otherwise the decision-class
+     memo answers every call after the first and the row would measure
+     that store, not the slot.  As is, round 1 rebuilds the vector DFA and
+     shares it across validation/equivalence; rounds 2–3 hit the decision
+     memo. *)
   let redeterminize sws () =
     Sws_pl.clear_cache sws;
     Engine.cache_clear_all ();

@@ -113,7 +113,7 @@ let word_string sws w =
       else '?'
     | _ -> '?'
   in
-  String.init (List.length w) (fun i -> char_of (List.nth w i))
+  String.of_seq (Seq.map char_of (List.to_seq w))
 
 let with_obs ~stats ~trace ~jobs ~cache_cap:(cache_cap, no_cache) ~snapshot f =
   Par.Pool.set_jobs jobs;

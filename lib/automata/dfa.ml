@@ -134,11 +134,53 @@ let contains_cex d1 d2 = shortest_word (diff d2 d1)
 
 let equivalent d1 d2 = is_empty (diff d1 d2) && is_empty (diff d2 d1)
 
-(* A word in L(d1) xor L(d2), when the two differ. *)
-let distinguishing_word d1 d2 =
-  match shortest_word (diff d1 d2) with
-  | Some w -> Some w
-  | None -> shortest_word (diff d2 d1)
+module Itbl = Hashtbl.Make (Int)
+
+(* Hopcroft and Karp's pair search without the union-find: each pair is
+   expanded at most once, and the visited pairs sit in a hash table, so
+   memory tracks the pairs visited, not the n1 * n2 of a product
+   automaton.  A level's pairs expand in discovery order, symbols in
+   ascending order, so the witness is deterministic. *)
+let distinguishing_word ?(on_level = ignore) ?(on_pair = ignore) d1 d2 =
+  if d1.alphabet_size <> d2.alphabet_size then
+    invalid_arg "Dfa.distinguishing_word: alphabet mismatch";
+  let n2 = num_states d2 in
+  let differ code = is_final d1 (code / n2) <> is_final d2 (code mod n2) in
+  (* parent pair code and symbol of each visited pair; -1 at the start *)
+  let parent = Itbl.create 64 in
+  let rec word code acc =
+    match Itbl.find parent code with
+    | -1, _ -> acc
+    | prev, a -> word prev (a :: acc)
+  in
+  let exception Found of int in
+  let rec expand depth frontier =
+    if frontier <> [] then begin
+      on_level depth;
+      let next = ref [] in
+      List.iter
+        (fun code ->
+          on_pair ();
+          let p = code / n2 and q = code mod n2 in
+          for a = 0 to d1.alphabet_size - 1 do
+            let code' = (delta d1 p a * n2) + delta d2 q a in
+            if not (Itbl.mem parent code') then begin
+              Itbl.add parent code' (code, a);
+              if differ code' then raise_notrace (Found code');
+              next := code' :: !next
+            end
+          done)
+        frontier;
+      expand (depth + 1) (List.rev !next)
+    end
+  in
+  let start = (d1.start * n2) + d2.start in
+  Itbl.add parent start (-1, -1);
+  if differ start then Some []
+  else
+    match expand 1 [ start ] with
+    | () -> None
+    | exception Found code -> Some (word code [])
 
 (* Moore's partition-refinement minimization (restricted to reachable
    states).  Hopcroft would be asymptotically better; Moore is simple and

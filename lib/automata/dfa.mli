@@ -39,8 +39,19 @@ val contains_cex : t -> t -> int list option
 
 val equivalent : t -> t -> bool
 
-(** A word accepted by exactly one of the two, when they differ. *)
-val distinguishing_word : t -> t -> int list option
+(** [distinguishing_word d1 d2] is a shortest word accepted by exactly
+    one of the two, [None] when they are equivalent: a breadth-first
+    search over the state pairs they reach on a common word.
+    [on_level depth] runs before the pairs reached by words of length
+    [depth - 1] are expanded, [on_pair] once per expanded pair; a caller
+    meters the search through them and stops it by raising.  Raises
+    [Invalid_argument] when the alphabets differ. *)
+val distinguishing_word :
+  ?on_level:(int -> unit) ->
+  ?on_pair:(unit -> unit) ->
+  t ->
+  t ->
+  int list option
 
 (** Moore partition refinement over the reachable part. *)
 val minimize : t -> t

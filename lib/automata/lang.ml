@@ -187,15 +187,6 @@ let equivalent_cex ?limits ?tick n1 n2 =
 let equivalent ?limits ?tick n1 n2 =
   Result.map Option.is_none (equivalent_cex ?limits ?tick n1 n2)
 
-let universal_nfa alphabet_size =
-  Nfa.create ~num_states:1 ~alphabet_size ~starts:[ 0 ] ~finals:[ 0 ]
-    ~edges:(List.init alphabet_size (fun a -> (0, a, 0)))
-    ~eps_edges:[]
-
-let universal_cex ?limits ?tick n =
-  Obs.Trace.span "lang.universal" @@ fun () ->
-  contains_cex ?limits ?tick n (universal_nfa (Nfa.alphabet_size n))
-
 (* Metered emptiness: reachability fixpoint on eps-closed state sets,
    no determinization. *)
 let is_empty ?(limits = no_limits) ?tick n =

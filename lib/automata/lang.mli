@@ -1,7 +1,7 @@
-(** The lazy language-decision engine: containment, equivalence, emptiness
-    and universality of NFAs decided by on-the-fly product/subset
-    exploration with antichain subsumption — the matching upper-bound
-    technique for the EXPTIME lower bound on automata-game composition.
+(** The lazy language-decision engine: containment, equivalence and
+    emptiness of NFAs decided by on-the-fly product/subset exploration
+    with antichain subsumption — the matching upper-bound technique for
+    the EXPTIME lower bound on automata-game composition.
 
     The eager pipeline ([Dfa.of_nfa] then a DFA product) materializes the
     full subset automaton before asking the question; this engine explores
@@ -13,7 +13,10 @@
     the-end NFAs whose minimal DFA needs [2^k] states) the frontier stays
     polynomial where determinization walls out.
 
-    This is the only language engine.  The determinizing procedures of
+    This is the only NFA language engine; it serves composition, RPQ
+    containment and regular rewriting.  The SWS(PL, PL) decisions do not
+    use it: they already hold a DFA per service and search its state
+    pairs ({!Dfa.distinguishing_word}).  The determinizing procedures of
     {!Dfa} ([nfa_contains_cex], [nfa_equivalent]) are its test oracle,
     not an alternative to it.  Exploration is sequential and
     deterministic: verdicts and witness words are identical at every
@@ -65,8 +68,9 @@ val contains :
 (** [equivalent_cex n1 n2]: [Ok None] when the languages coincide,
     [Ok (Some w)] with [w] accepted by exactly one of the two otherwise.
     Containment is checked [L(n1) <= L(n2)] first, then the converse, so
-    the witness is a shortest word of the first non-empty difference —
-    the convention of {!Dfa.distinguishing_word}. *)
+    the witness is a shortest word of the first non-empty difference, not
+    necessarily a shortest distinguishing word ({!Dfa.distinguishing_word}
+    finds one of those on DFAs). *)
 val equivalent_cex :
   ?limits:limits ->
   ?tick:(unit -> unit) ->
@@ -80,15 +84,6 @@ val equivalent :
   Nfa.t ->
   Nfa.t ->
   bool run
-
-(** [universal_cex n]: [Ok None] when [L(n)] is all words, [Ok (Some w)]
-    with [w] a shortest rejected word otherwise — containment of the
-    one-state universal automaton in [n]. *)
-val universal_cex :
-  ?limits:limits ->
-  ?tick:(unit -> unit) ->
-  Nfa.t ->
-  int list option run
 
 (** Metered emptiness: a reachability fixpoint on eps-closed state sets,
     no determinization. *)

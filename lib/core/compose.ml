@@ -42,7 +42,9 @@ module Expand = Rewriting.Expand
 (* PL languages of services and components                              *)
 (* ------------------------------------------------------------------ *)
 
-let pl_language_nfa ?stats sws = Sws_pl.language_nfa ?stats sws
+(* The vector DFA recognizes the reversed language. *)
+let pl_language_nfa ?stats sws =
+  Nfa.reverse (Dfa.to_nfa (Sws_pl.vector_dfa ?stats sws))
 
 (* Minimal-prefix language: words accepted with no accepted proper prefix.
    A component invoked by a mediator runs to completion and hands control

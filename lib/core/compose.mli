@@ -14,8 +14,8 @@
       completeness. *)
 
 (** The language of a PL service: input sequences answered [true].
-    Served from the service's memoized automata chain
-    ({!Sws_pl.language_nfa}). *)
+    Derived on each call from the service's memoized vector DFA
+    ({!Sws_pl.vector_dfa}), by reversal. *)
 val pl_language_nfa : ?stats:Engine.Stats.t -> Sws_pl.t -> Automata.Nfa.t
 
 (** Words accepted with no accepted proper prefix: how a component invoked

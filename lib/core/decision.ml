@@ -128,38 +128,6 @@ let relation_repr r =
   string_of_int (Relational.Relation.arity r) ^ ":" ^ String.concat ";" rows
 
 (* ------------------------------------------------------------------ *)
-(* Language-engine plumbing                                            *)
-(*                                                                     *)
-(* The PL procedures decide language questions through                 *)
-(* [Automata.Lang], which explores lazily under the caller's budget.   *)
-(* ------------------------------------------------------------------ *)
-
-module Lang = Automata.Lang
-
-let limits_of_budget (b : Engine.Budget.t) =
-  Lang.limits ?max_states:b.Engine.Budget.max_nodes
-    ?max_depth:b.Engine.Budget.max_depth ?deadline_s:b.Engine.Budget.deadline_s
-    ()
-
-(* [`States] meters product pairs — the node axis of the budget. *)
-let exhausted_of_trip ~name (t : Lang.trip) =
-  {
-    Engine.limit =
-      (match t.Lang.tripped with
-      | `States -> `Nodes
-      | `Depth -> `Depth
-      | `Deadline -> `Deadline);
-    depth_reached = t.Lang.depth_reached;
-    nodes_expanded = t.Lang.states_explored;
-    message = Fmt.str "%s: %a" name Lang.pp_trip t;
-  }
-
-let lang_tick stats =
-  match stats with
-  | Some s -> Some (fun () -> Engine.Stats.node s)
-  | None -> None
-
-(* ------------------------------------------------------------------ *)
 (* SWS(PL, PL), recursive: automata-based, always decisive             *)
 (* ------------------------------------------------------------------ *)
 
@@ -176,10 +144,32 @@ let run_equiv_outcome = function
   | Inequivalent _ -> Obs.Trace.Decided false
   | Equiv_exhausted e -> Obs.Trace.Tripped e.Engine.limit
 
-(* A shortest accepted word: [Afa.shortest_word] of the service's AFA,
+(* A shortest accepted sequence: [Afa.shortest_word] of the service's AFA,
    read off the memoized vector DFA of its reversed language. *)
-let shortest_word ?stats sws =
-  Option.map List.rev (Dfa.shortest_word (Sws_pl.vector_dfa ?stats sws))
+let shortest_accepted ?stats sws =
+  match Dfa.shortest_word (Sws_pl.vector_dfa ?stats sws) with
+  | Some w -> Yes (decode_word sws (List.rev w))
+  | None -> No
+
+(* A shortest word telling two vector DFAs apart, reversed and decoded:
+   reversal keeps equivalence and word lengths, so it is a shortest input
+   sequence on which the services differ.  One meter tick per expanded
+   state pair, one budget check per search level. *)
+let distinguishing_sequence ?stats budget sws d1 d2 =
+  let meter = Engine.Meter.create ?stats budget in
+  let exception Tripped of Engine.exhausted in
+  let on_level depth =
+    Result.iter_error
+      (fun e -> raise_notrace (Tripped e))
+      (Engine.Meter.check meter ~depth)
+  in
+  match
+    Dfa.distinguishing_word ~on_level
+      ~on_pair:(fun () -> Engine.Meter.tick meter)
+      d1 d2
+  with
+  | w -> Ok (Option.map (fun w -> decode_word sws (List.rev w)) w)
+  | exception Tripped e -> Error e
 
 (* Non-emptiness: is some input sequence answered with [true]?  Decisive
    whatever the budget, so the cached answer carries no budget tag. *)
@@ -189,14 +179,12 @@ let pl_non_emptiness ?stats sws =
     ~outcome:run_outcome ~cacheable:cacheable_outcome
   @@ fun () ->
   Engine.run ?stats ~name:"pl_non_emptiness" ~outcome:run_outcome @@ fun () ->
-  match shortest_word ?stats sws with
-  | Some w -> Yes (decode_word sws w)
-  | None -> No
+  shortest_accepted ?stats sws
 
 (* Validation: for the PL class the output is one truth value.  O = true
    coincides with non-emptiness (as the paper remarks); O = false asks for a
-   rejected sequence — note the empty sequence is always rejected, so the
-   interesting check is universality of the complement. *)
+   shortest rejected sequence, one telling the vector DFA apart from the
+   one-state DFA of all words. *)
 let pl_validation ?stats ?budget sws ~output =
   let budget_v = Option.value budget ~default:Engine.Budget.unlimited in
   Pl_word_memo.run pl_word_store ?stats ~budget:budget_v ~name:"pl_validation"
@@ -209,27 +197,27 @@ let pl_validation ?stats ?budget sws ~output =
     ~outcome:run_outcome ~cacheable:cacheable_outcome
   @@ fun () ->
   Engine.run ?stats ~name:"pl_validation" ~outcome:run_outcome @@ fun () ->
-  if output then begin
-    match shortest_word ?stats sws with
-    | Some w -> Yes (decode_word sws w)
-    | None -> No
-  end
+  if output then shortest_accepted ?stats sws
   else begin
-    (* O = false asks for a rejected sequence: non-universality of the
-       language, decided without determinizing. *)
-    let nfa = Sws_pl.language_nfa ?stats sws in
+    let k = Sws_pl.alphabet_size sws in
+    let all_words =
+      Dfa.create ~alphabet_size:k ~start:0 ~finals:[ 0 ]
+        ~trans:[| Array.make k 0 |]
+    in
     match
-      Lang.universal_cex ~limits:(limits_of_budget budget_v)
-        ?tick:(lang_tick stats) nfa
+      distinguishing_sequence ?stats budget_v sws
+        (Sws_pl.vector_dfa ?stats sws)
+        all_words
     with
-    | Ok (Some w) -> Yes (decode_word sws w)
+    | Ok (Some w) -> Yes w
     | Ok None -> No
-    | Error t -> Exhausted (exhausted_of_trip ~name:"pl_validation" t)
+    | Error e -> Exhausted e
   end
 
 (* Equivalence: same outputs on all databases (trivial here) and inputs,
-   i.e. language equivalence of the two translations.  The services must
-   agree on their input variables; re-declare them if needed. *)
+   i.e. language equivalence of the two translations, decided on their
+   vector DFAs.  The services must agree on their input variables;
+   re-declare them if needed. *)
 let pl_equivalence ?stats ?budget sws1 sws2 =
   if Sws_pl.input_vars sws1 <> Sws_pl.input_vars sws2 then
     invalid_arg "pl_equivalence: services declare different input variables";
@@ -242,15 +230,14 @@ let pl_equivalence ?stats ?budget sws1 sws2 =
   @@ fun () ->
   Engine.run ?stats ~name:"pl_equivalence" ~outcome:run_equiv_outcome
   @@ fun () ->
-  let n1 = Sws_pl.language_nfa ?stats sws1 in
-  let n2 = Sws_pl.language_nfa ?stats sws2 in
   match
-    Lang.equivalent_cex ~limits:(limits_of_budget budget_v)
-      ?tick:(lang_tick stats) n1 n2
+    distinguishing_sequence ?stats budget_v sws1
+      (Sws_pl.vector_dfa ?stats sws1)
+      (Sws_pl.vector_dfa ?stats sws2)
   with
   | Ok None -> Equivalent
-  | Ok (Some w) -> Inequivalent (decode_word sws1 w)
-  | Error t -> Equiv_exhausted (exhausted_of_trip ~name:"pl_equivalence" t)
+  | Ok (Some w) -> Inequivalent w
+  | Error e -> Equiv_exhausted e
 
 (* ------------------------------------------------------------------ *)
 (* SWS_nr(PL, PL): SAT-based NP / coNP procedures                      *)

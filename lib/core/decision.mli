@@ -26,9 +26,11 @@ type 'c equiv_outcome =
 
 (** {1 SWS(PL, PL) — automata-based (pspace cells)}
 
-    The language questions run on {!Automata.Lang}, which explores the
-    product lazily with antichain subsumption and respects [budget]
-    ([max_nodes] meters product pairs, [max_depth] witness length),
+    All three questions are answered by breadth-first search on each
+    service's memoized vector DFA ({!Sws_pl.vector_dfa}), so every
+    witness is a shortest one.  Validation with [output = false] and
+    equivalence respect [budget] ([max_nodes] meters expanded state
+    pairs, [max_depth] witness length, checked per search level),
     reporting [Exhausted] when it trips.  Results are cached under the
     budget-monotonicity rule. *)
 
@@ -36,8 +38,8 @@ val pl_non_emptiness :
   ?stats:Engine.Stats.t -> Sws_pl.t -> Proplogic.Prop.assignment list outcome
 
 (** For PL the output is one truth value; [output = true] coincides with
-    non-emptiness (as Section 4 remarks), [output = false] searches the
-    complement. *)
+    non-emptiness (as Section 4 remarks), [output = false] asks for a
+    shortest rejected sequence. *)
 val pl_validation :
   ?stats:Engine.Stats.t ->
   ?budget:Engine.Budget.t ->
@@ -45,8 +47,9 @@ val pl_validation :
   output:bool ->
   Proplogic.Prop.assignment list outcome
 
-(** Language equivalence of the AFA translations.  The services must
-    declare the same input variables. *)
+(** Language equivalence of the AFA translations, with a shortest
+    distinguishing sequence when they differ.  The services must declare
+    the same input variables. *)
 val pl_equivalence :
   ?stats:Engine.Stats.t ->
   ?budget:Engine.Budget.t ->

@@ -30,29 +30,27 @@ let act_var i =
 
 type query = Prop.t
 
-(* The vector DFA -> NFA chain is deterministic in the (immutable)
-   service, so each service value carries one lazily filled slot per stage:
-   pl_non_emptiness, pl_validation, pl_equivalence and
-   Compose.pl_language_nfa stop paying for the same exponential
-   constructions twice.  The AFA itself is transient: it is built only to
-   explore its reachable truth vectors, and its formula trees (tens of KB
-   per service) are dropped as soon as the vector DFA exists.
-   [Engine.set_caching false] bypasses the slots (reads and writes) for
-   ablations.
+(* The vector DFA is deterministic in the (immutable) service, so each
+   service value carries one lazily filled slot for it: pl_non_emptiness,
+   pl_validation, pl_equivalence and Compose.pl_language_nfa stop paying
+   for the same exponential construction twice.  The AFA itself is
+   transient: it is built only to explore its reachable truth vectors,
+   and its formula trees (tens of KB per service) are dropped as soon as
+   the vector DFA exists.  [Engine.set_caching false] bypasses the slot
+   (reads and writes) for ablations.
 
-   The slots live in a record *shared by content*: [make] fetches the
+   The slot lives in a record *shared by content*: [make] fetches the
    record from the process-lifetime store (cache class "automata") keyed
    on the service's canonical representation, so a second request — or a
-   second server session — building an equal service finds the chain
-   already built.  The record has its own mutex because sharers may sit
-   on different pool domains; builds run outside the lock (leaf-lock
+   second server session — building an equal service finds the vector
+   DFA already built.  The record has its own mutex because sharers may
+   sit on different pool domains; builds run outside the lock (leaf-lock
    discipline, DESIGN.md §4h) and the first finished build wins. *)
 type automata_cache = {
   mu : Mutex.t;
   key : Cache.Store.Key.t option; (* its store key; [None] when private *)
   mutable vdfa : Automata.Dfa.t option;
-  mutable nfa : Automata.Nfa.t option;
-  mutable bytes : int; (* approximate resident size of the filled stages *)
+  mutable bytes : int; (* approximate resident size, the DFA once filled *)
 }
 
 type t = {
@@ -68,23 +66,23 @@ let fresh_stamp () =
   incr next_stamp;
   !next_stamp
 
-(* The record itself with its mutex, before any stage is filled. *)
+(* The record itself with its mutex, before the slot is filled. *)
 let record_bytes = 128
 
 let fresh_cache key =
-  { mu = Mutex.create (); key; vdfa = None; nfa = None; bytes = record_bytes }
+  { mu = Mutex.create (); key; vdfa = None; bytes = record_bytes }
 
-module Chain_value = struct
+module Slot_value = struct
   type t = automata_cache
 
-  (* Re-weighed each time a stage fills (see [cached]), so the class's
-     byte gauge and byte cap see the chain's real size. *)
+  (* Re-weighed when the slot fills (see [vector_dfa]), so the class's
+     byte gauge and byte cap see the automaton's real size. *)
   let weight c = c.bytes
 end
 
-module Chain_store = Cache.Store.Make (Chain_value)
+module Slot_store = Cache.Store.Make (Slot_value)
 
-let chains = Chain_store.create ~max_entries:1024 ~cls:"automata" ()
+let slots = Slot_store.create ~max_entries:1024 ~cls:"automata" ()
 
 (* Exact content identity: see Sws_data.canonical_repr for why
    marshalling is canonical enough here (equal services are built
@@ -96,14 +94,14 @@ let shared_cache ~input_vars ~def =
   if not (Engine.caching_enabled ()) then fresh_cache None
   else begin
     let key = Cache.Store.Key.of_string (canonical_repr ~input_vars ~def) in
-    match Chain_store.find chains key with
+    match Slot_store.find slots key with
     | Some c -> c
     | None ->
       let c = fresh_cache (Some key) in
       (* Two domains may race to register equal services; both records
-         are valid (the slots converge on equal automata), so losing the
+         are valid (their slots converge on equal automata), so losing the
          race only costs the loser its private record. *)
-      Chain_store.add chains key c;
+      Slot_store.add slots key c;
       c
   end
 
@@ -372,89 +370,56 @@ let to_afa t =
     states;
   Afa.create ~alphabet_size ~start:(2 * index start_name) ~finals:[] ~delta
 
-(* Approximate resident bytes of the chain's automata, for the store's
-   byte accounting.  A DFA holds one int row per state; an NFA holds per
-   state a transition row, an epsilon and a closure slot, and about two
-   bit sets (its shared successor singleton and, once queried, its
-   closure). *)
-let word_bytes w = w * (Sys.word_size / 8)
-
+(* Approximate resident bytes of the vector DFA, for the store's byte
+   accounting: one int row per state. *)
 let dfa_bytes d =
-  word_bytes (Automata.Dfa.num_states d * (Automata.Dfa.alphabet_size d + 2))
+  (Automata.Dfa.num_states d * (Automata.Dfa.alphabet_size d + 2))
+  * (Sys.word_size / 8)
 
-let nfa_bytes n =
-  let q = Automata.Nfa.num_states n and k = Automata.Nfa.alphabet_size n in
-  let set_words = 5 + (q / Sys.int_size) in
-  word_bytes (q * (k + 3 + (2 * set_words)))
-
-let chain_bytes c =
-  let opt f = function Some v -> f v | None -> 0 in
-  record_bytes + opt dfa_bytes c.vdfa + opt nfa_bytes c.nfa
-
-(* One memoized stage of the automata chain.  [name] labels the build in
-   traces: each uncached construction appears as one span and feeds the
-   per-stage latency histogram.  The slot record may be shared across
-   pool domains, so reads and writes go through its mutex; the build
-   itself runs outside the lock (it recurses into earlier stages and
+(* The memoized vector DFA.  Each uncached construction appears in traces
+   as one "vdfa_build" span and feeds its latency histogram.  The slot
+   record may be shared across pool domains, so reads and writes go
+   through its mutex; the build itself runs outside the lock (it calls
    into Symtab-locking automata code), and when two domains race, the
    first finished build wins — both build the same automaton, so the
-   loser only wastes its own work.  A filled stage re-adds the record to
+   loser only wastes its own work.  A filled slot re-adds the record to
    its store under its new weight (outside the record's mutex: the
    store's lock is a leaf lock). *)
-let cached ?(stats = Engine.Stats.global) ~name ~get ~set build t =
-  if not (Engine.caching_enabled ()) then
-    Obs.Trace.span name (fun () -> build t)
+let vector_dfa ?(stats = Engine.Stats.global) t =
+  let build () =
+    Obs.Trace.span "vdfa_build" (fun () ->
+        Automata.Afa.reverse_vector_dfa (to_afa t))
+  in
+  if not (Engine.caching_enabled ()) then build ()
   else begin
-    Mutex.lock t.cache.mu;
-    let slot = get t.cache in
-    Mutex.unlock t.cache.mu;
-    match slot with
+    match Mutex.protect t.cache.mu (fun () -> t.cache.vdfa) with
     | Some v ->
       Engine.Stats.automata_hit stats;
       v
     | None ->
       Engine.Stats.automata_miss stats;
-      let v = Obs.Trace.span name (fun () -> build t) in
-      Mutex.lock t.cache.mu;
+      let v = build () in
       let v, filled =
-        match get t.cache with
+        Mutex.protect t.cache.mu @@ fun () ->
+        match t.cache.vdfa with
         | Some w ->
           (w, false) (* another domain finished first; converge on its value *)
         | None ->
-          set t.cache (Some v);
-          t.cache.bytes <- chain_bytes t.cache;
+          t.cache.vdfa <- Some v;
+          t.cache.bytes <- record_bytes + dfa_bytes v;
           (v, true)
       in
-      Mutex.unlock t.cache.mu;
       (match t.cache.key with
-      | Some key when filled -> Chain_store.add chains key t.cache
+      | Some key when filled -> Slot_store.add slots key t.cache
       | _ -> ());
       v
   end
 
-let vector_dfa ?stats t =
-  cached ?stats ~name:"vdfa_build"
-    ~get:(fun c -> c.vdfa)
-    ~set:(fun c v -> c.vdfa <- v)
-    (fun t -> Automata.Afa.reverse_vector_dfa (to_afa t))
-    t
-
-(* [Afa.to_nfa] of the service's AFA, read off the cached vector DFA. *)
-let language_nfa ?stats t =
-  cached ?stats ~name:"nfa_build"
-    ~get:(fun c -> c.nfa)
-    ~set:(fun c v -> c.nfa <- v)
-    (fun t ->
-      Automata.Nfa.reverse (Automata.Dfa.to_nfa (vector_dfa ?stats t)))
-    t
-
 let clear_cache t =
-  Mutex.lock t.cache.mu;
-  t.cache.vdfa <- None;
-  t.cache.nfa <- None;
-  t.cache.bytes <- record_bytes;
-  Mutex.unlock t.cache.mu;
-  Option.iter (fun key -> Chain_store.add chains key t.cache) t.cache.key
+  Mutex.protect t.cache.mu (fun () ->
+      t.cache.vdfa <- None;
+      t.cache.bytes <- record_bytes);
+  Option.iter (fun key -> Slot_store.add slots key t.cache) t.cache.key
 
 (* ------------------------------------------------------------------ *)
 (* Nonrecursive unfolding to a single formula                          *)

@@ -80,29 +80,26 @@ val accepts_word : t -> int list -> bool
 (** The alternating automaton of the service's language (sequences with
     output true): states are (SWS state, message bit) pairs; see the
     implementation for the construction.  Drives the PSPACE procedures of
-    Theorem 4.1(3).  Built afresh on every call: the memoized chain keeps
-    only its vector DFA. *)
+    Theorem 4.1(3).  Built afresh on every call: only its vector DFA is
+    memoized. *)
 val to_afa : t -> Automata.Afa.t
 
 (** [Afa.reverse_vector_dfa] of {!to_afa}: the DFA of the reversed
     language over reachable truth vectors.  [List.rev] of its
-    [Dfa.shortest_word] is [Afa.shortest_word (to_afa t)].
+    [Dfa.shortest_word] is [Afa.shortest_word (to_afa t)]; reversal
+    keeps word lengths and equivalence, so [Decision] answers all three
+    SWS(PL, PL) questions on it.
 
-    Memoized per service *content* (together with {!language_nfa},
-    forming the two-stage vector DFA → NFA chain): the
-    chain record lives in the process-lifetime store (cache class
-    ["automata"]) keyed on {!canonical_repr}, so equal services built by
-    different requests or server sessions share one chain, and is
-    re-weighed in that store each time a stage fills.  Bypassed
-    entirely under [Engine.set_caching false]; cache traffic is counted
-    into [stats] (default: the global sink). *)
+    Memoized per service *content*: the slot record lives in the
+    process-lifetime store (cache class ["automata"]) keyed on
+    {!canonical_repr}, so equal services built by different requests or
+    server sessions share one vector DFA, and is re-weighed in that store
+    when the slot fills.  Bypassed entirely under
+    [Engine.set_caching false]; cache traffic is counted into [stats]
+    (default: the global sink). *)
 val vector_dfa : ?stats:Engine.Stats.t -> t -> Automata.Dfa.t
 
-(** [Nfa.reverse (Dfa.to_nfa (vector_dfa t))] — exactly
-    [Afa.to_nfa (to_afa t)] — memoized per service. *)
-val language_nfa : ?stats:Engine.Stats.t -> t -> Automata.Nfa.t
-
-(** Drop this service's memoized automata. *)
+(** Drop this service's memoized vector DFA. *)
 val clear_cache : t -> unit
 
 (** {1 Nonrecursive unfolding} *)

@@ -229,7 +229,7 @@ let word_string sws w =
       else '?'
     | _ -> '?'
   in
-  String.init (List.length w) (fun i -> char_of (List.nth w i))
+  String.of_seq (Seq.map char_of (List.to_seq w))
 
 let alphabet_size_of regexes = Session.alphabet_size_of regexes
 
@@ -243,7 +243,11 @@ let decision_outcome_json = function
 
 (* Serve from / fill the content-resolved L2 cache around a method body.
    Runs after parameter validation and reference resolution, so bad
-   requests never produce entries and the key is registry-independent. *)
+   requests never produce entries and the key is registry-independent.
+   The first key part is the method and its answer-convention version:
+   L2 entries outlive the binary in snapshots, so a change to what a
+   method answers (shortest witnesses, "/2") bumps the version and
+   entries stored under the old key are never served. *)
 let l2 ~csrc parts (f : unit -> (reply, reply) result) : (reply, reply) result
     =
   if not (Engine.caching_enabled ()) then f ()
@@ -356,7 +360,7 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
         | None -> bad "missing parameter \"service\""
       in
       let* _, _, r = resolve cfg session j in
-      l2 ~csrc [ "check"; regex_repr r ] @@ fun () ->
+      l2 ~csrc [ "check/2"; regex_repr r ] @@ fun () ->
       let alphabet_size = alphabet_size_of [ r ] in
       let sws = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size r) in
       let* ne = decision_outcome_json (Decision.pl_non_emptiness ~stats:sink sws) in
@@ -387,7 +391,7 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
       in
       let* _, _, rl = resolve cfg session jl in
       let* _, _, rr = resolve cfg session jr in
-      l2 ~csrc [ "equivalence"; regex_repr rl; regex_repr rr ] @@ fun () ->
+      l2 ~csrc [ "equivalence/2"; regex_repr rl; regex_repr rr ] @@ fun () ->
       let alphabet_size = alphabet_size_of [ rl; rr ] in
       let sl = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size rl) in
       let sr = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size rr) in

@@ -243,6 +243,33 @@ let prop_lang_cex_valid =
       in
       contain_ok && equiv_ok)
 
+(* [Dfa.distinguishing_word] against brute force over every word of up to
+   five letters: its witness is accepted by exactly one side and no
+   shorter word is; [None] means no word up to the bound tells the two
+   apart.  The antichain engine's witness, a shortest word of the first
+   non-empty difference, is never shorter. *)
+let prop_distinguishing_word_shortest =
+  QCheck.Test.make ~count:300
+    ~name:"distinguishing_word is a shortest distinguishing word"
+    (QCheck.make regex_pair_gen) (fun (s1, s2) ->
+      let n1 = nfa_of s1 and n2 = nfa_of s2 in
+      let d1 = Dfa.of_nfa n1 and d2 = Dfa.of_nfa n2 in
+      let bound = 5 in
+      let brute =
+        List.find_opt
+          (fun w -> not (Bool.equal (Dfa.accepts d1 w) (Dfa.accepts d2 w)))
+          (all_words bound)
+      in
+      match (Dfa.distinguishing_word d1 d2, ok (Lang.equivalent_cex n1 n2)) with
+      | None, None -> brute = None
+      | Some w, Some w' ->
+        (not (Bool.equal (Dfa.accepts d1 w) (Dfa.accepts d2 w)))
+        && (match brute with
+           | Some b -> List.length w = List.length b
+           | None -> List.length w > bound)
+        && List.length w <= List.length w'
+      | _ -> false)
+
 (* Budget soundness: a tripped exploration is an [Error], never a wrong
    verdict; whenever the metered run does answer, the answer matches the
    unlimited one. *)
@@ -324,6 +351,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lang_agrees_regex;
     QCheck_alcotest.to_alcotest prop_lang_agrees_random_nfa;
     QCheck_alcotest.to_alcotest prop_lang_cex_valid;
+    QCheck_alcotest.to_alcotest prop_distinguishing_word_shortest;
     QCheck_alcotest.to_alcotest prop_lang_budget_sound;
     Alcotest.test_case "lang k-chain k=16" `Quick test_lang_kchain_16;
     Alcotest.test_case "lang jobs determinism" `Quick test_lang_jobs_deterministic;

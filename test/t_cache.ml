@@ -239,8 +239,8 @@ let test_budget_monotonic_serve () =
   let d = decision_delta ~before in
   check_int "smaller budget recomputes" 0 d.G.hits
 
-(* The antichain language engine obeys the same contract as the scan
-   procedures: an exploration stopped by the node budget answers
+(* The metered pair search behind pl_equivalence obeys the same contract
+   as the scan procedures: a search stopped by the node budget answers
    Equiv_exhausted and is never cached, and a decisive answer computed
    without a budget is never served to a budgeted request that excludes
    the exploration it needed. *)
@@ -289,9 +289,9 @@ let test_content_sharing () =
   check "and the served answer matches" true (r1 = r2)
 
 let test_automata_bytes_weighed () =
-  (* a chain record is re-weighed as its two stages (vector DFA, then
-     language NFA) fill, so the class's byte gauge sees the automata, not
-     the flat 1024 B per record the store once charged *)
+  (* a slot record is re-weighed when its vector DFA fills, so the
+     class's byte gauge sees the automaton, not the flat 1024 B per record
+     the store once charged *)
   Engine.cache_clear_all ();
   let sws =
     Reductions.sws_of_afa
@@ -303,7 +303,7 @@ let test_automata_bytes_weighed () =
   in
   check_int "one chain record" 1 (automata ()).G.entries;
   let flat = 1024 + 64 + String.length (Sws_pl.canonical_repr sws) in
-  ignore (Sws_pl.language_nfa sws);
+  ignore (Sws_pl.vector_dfa sws);
   let filled = automata () in
   check_int "still one chain record" 1 filled.G.entries;
   check "byte gauge exceeds the flat estimate" true (filled.G.bytes > flat);

@@ -51,6 +51,69 @@ let test_pl_equivalence () =
       (Sws_pl.run s1 w <> Sws_pl.run s3 w)
   | _ -> Alcotest.fail "expected counterexample")
 
+(* SWS(PL, PL) witnesses against brute force over every input sequence of
+   up to [bound] messages, run through the services' own semantics: an
+   equivalence witness distinguishes the two and no shorter sequence does,
+   and a validation (output false) witness is a shortest rejected
+   sequence.  The antichain engine on the language NFAs stays as an
+   oracle: same verdict, and its witness is never shorter. *)
+let regex_ab_gen =
+  QCheck.Gen.(
+    sized_size (int_range 0 5)
+    @@ fix (fun self n ->
+           if n <= 0 then oneofl [ "a"; "b"; "1" ]
+           else
+             oneof
+               [
+                 map2 (fun l r -> "(" ^ l ^ r ^ ")") (self (n / 2)) (self (n / 2));
+                 map2
+                   (fun l r -> "(" ^ l ^ "|" ^ r ^ ")")
+                   (self (n / 2)) (self (n / 2));
+                 map (fun e -> "(" ^ e ^ ")*") (self (n - 1));
+               ]))
+
+let prop_pl_witnesses_shortest =
+  QCheck.Test.make ~count:40 ~name:"pl witnesses are shortest (brute force)"
+    (QCheck.make QCheck.Gen.(pair regex_ab_gen regex_ab_gen))
+    (fun (r1, r2) ->
+      let mk r =
+        Roman.to_sws_pl
+          (Automata.Nfa.of_regex ~alphabet_size:2 (Automata.Regex.parse r))
+      in
+      let s1 = mk r1 and s2 = mk r2 in
+      let k = Sws_pl.alphabet_size s1 and bound = 4 in
+      let words = Automata.Word_gen.words_up_to ~alphabet_size:k bound in
+      let first p = Option.map List.length (List.find_opt p words) in
+      let shortest len = function
+        | Some b -> len = b
+        | None -> len > bound
+      in
+      let equiv_ok =
+        let brute =
+          first (fun w ->
+              not (Bool.equal (Sws_pl.accepts_word s1 w) (Sws_pl.accepts_word s2 w)))
+        in
+        match
+          ( Decision.pl_equivalence s1 s2,
+            Automata.Lang.equivalent_cex (Compose.pl_language_nfa s1)
+              (Compose.pl_language_nfa s2) )
+        with
+        | Decision.Equivalent, Ok None -> brute = None
+        | Decision.Inequivalent w, Ok (Some w') ->
+          Sws_pl.run s1 w <> Sws_pl.run s2 w
+          && shortest (List.length w) brute
+          && List.length w <= List.length w'
+        | _ -> false
+      in
+      let validation_ok =
+        let brute = first (fun w -> not (Sws_pl.accepts_word s1 w)) in
+        match Decision.pl_validation s1 ~output:false with
+        | Decision.Yes w ->
+          (not (Sws_pl.run s1 w)) && shortest (List.length w) brute
+        | _ -> false
+      in
+      equiv_ok && validation_ok)
+
 (* Cross-check: on nonrecursive services the NP (SAT) procedures agree with
    the PSPACE (automata) procedures. *)
 let random_nr_pl rng =
@@ -276,6 +339,7 @@ let suite =
       Alcotest.test_case "pl non-emptiness" `Quick test_pl_non_emptiness;
       Alcotest.test_case "pl validation" `Quick test_pl_validation;
       Alcotest.test_case "pl equivalence" `Quick test_pl_equivalence;
+      QCheck_alcotest.to_alcotest prop_pl_witnesses_shortest;
       QCheck_alcotest.to_alcotest prop_nr_procedures_agree;
       QCheck_alcotest.to_alcotest prop_nr_equivalence_agree;
       Alcotest.test_case "cq non-emptiness" `Quick test_cq_non_emptiness;

@@ -262,8 +262,8 @@ let test_automata_cache_stats () =
   let sws = Reductions.sws_of_sat (Prop.And (v "x", Prop.Or (v "y", v "z"))) in
   Sws_pl.clear_cache sws;
   let stats = Engine.Stats.create () in
-  (* validation and equivalence both walk the two-stage chain, vector DFA
-     then language NFA; the second round must be all hits *)
+  (* validation and equivalence both read the memoized vector DFA; every
+     read after the first must hit *)
   ignore (Decision.pl_validation ~stats sws ~output:true);
   (match Decision.pl_equivalence ~stats sws sws with
   | Decision.Equivalent -> ()
@@ -275,7 +275,7 @@ let test_automata_cache_stats () =
   (* clearing the per-service slots forces a rebuild *)
   Sws_pl.clear_cache sws;
   let fresh = Engine.Stats.create () in
-  ignore (Sws_pl.language_nfa ~stats:fresh sws);
+  ignore (Sws_pl.vector_dfa ~stats:fresh sws);
   check "rebuild misses" true (Engine.Stats.automata_cache_misses fresh > 0)
 
 (* ------------------------------------------------------------------ *)

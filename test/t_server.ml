@@ -339,6 +339,65 @@ let test_deterministic_across_jobs () =
     (List.combine seq par)
 
 (* ------------------------------------------------------------------ *)
+(* Reply-cache keys across answer conventions                          *)
+(* ------------------------------------------------------------------ *)
+
+(* L2 replies outlive the binary in snapshots.  An entry stored under the
+   key shape of the earlier answer convention (the method name alone),
+   restored as a snapshot load restores it, is never served: the reply is
+   recomputed and carries the shortest witness. *)
+let test_old_l2_keys_never_served () =
+  Sws.Engine.cache_clear_all ();
+  let regex s = Marshal.to_string (Automata.Regex.parse s) [ Marshal.No_sharing ] in
+  let stale_eq =
+    J.Obj
+      [ ("equivalent", J.Bool false);
+        ("distinguishing_len", J.Int 4);
+        ("counterexample", J.String "ac#.") ]
+  and stale_check = J.Obj [ ("states", J.Int 0) ] in
+  let entry parts payload =
+    let k = Cache.Store.Key.of_parts parts in
+    { Cache.Store.d_fp = k.Cache.Store.Key.fp; d_repr = k.Cache.Store.Key.repr;
+      d_epoch = 0; d_value = J.to_string payload }
+  in
+  let restored =
+    Cache.Store.restore_persistable
+      [ { Cache.Store.d_tag = "server/l2"; d_abi_sensitive = false;
+          d_entries =
+            [ entry [ "equivalence"; regex "((c|a)|(c|c))c"; regex "b*" ] stale_eq;
+              entry [ "check"; regex "(ab)+c" ] stale_check ] } ]
+  in
+  check_int "both stale entries restored" 2
+    (Option.value ~default:0 (List.assoc_opt "server/l2" restored));
+  with_server (fun addr ->
+      with_client addr (fun c ->
+          List.iter
+            (fun (meth, params, stale) ->
+              let r =
+                response_exn (Server.Client.call ~want_meta:true c ~meth ~params)
+              in
+              check_string (meth ^ " ok") "ok" (status r);
+              check (meth ^ " recomputed") true
+                (Option.bind (J.member "meta" r) (J.member "cache")
+                 |> Fun.flip Option.bind (J.member "source")
+                = Some (J.String "miss"));
+              check (meth ^ " not the stale reply") true
+                (J.member "result" r <> Some stale))
+            [ ( "equivalence",
+                [ ("left", J.String "((c|a)|(c|c))c"); ("right", J.String "b*") ],
+                stale_eq );
+              ("check", [ ("service", J.String "(ab)+c") ], stale_check) ];
+          let r =
+            response_exn
+              (Server.Client.call c ~meth:"equivalence"
+                 ~params:
+                   [ ("left", J.String "((c|a)|(c|c))c"); ("right", J.String "b*") ])
+          in
+          check "the empty session distinguishes" true
+            (Option.bind (J.member "result" r) (J.member "distinguishing_len")
+            = Some (J.Int 2))))
+
+(* ------------------------------------------------------------------ *)
 (* Concurrent sessions                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -385,6 +444,7 @@ let suite =
     ("session registry", `Quick, test_session_registry);
     ("budget trips are structured", `Quick, test_budget_trips);
     ("responses identical across jobs", `Quick, test_deterministic_across_jobs);
+    ("old reply-cache keys are never served", `Quick, test_old_l2_keys_never_served);
     ("concurrent sessions", `Quick, test_concurrent_sessions);
     ("close method", `Quick, test_close_method);
   ]

@@ -261,7 +261,7 @@ let prop_chain_matches_afa =
       in
       witness_agrees
       && String.equal
-           (Nfa.canonical_repr (Sws_pl.language_nfa sws))
+           (Nfa.canonical_repr (Compose.pl_language_nfa sws))
            (Nfa.canonical_repr (Afa.to_nfa afa)))
 
 (* [to_afa] compiles each query to a predicate on symbol bit masks; its
