@@ -16,9 +16,6 @@ module Dfa = Automata.Dfa
 open Sws
 open Cmdliner
 
-let alphabet_size_of regexes =
-  List.fold_left (fun m r -> max m (Regex.max_symbol r + 1)) 1 regexes
-
 (* --stats: reset the global sink before the command, print it after. *)
 let stats_flag =
   Arg.(
@@ -93,27 +90,6 @@ let snapshot_flag =
            invocations with the same $(docv) answer repeated work from \
            the persisted caches instead of recomputing.  Answers are \
            identical either way.")
-
-(* Witness words as compact strings: messages are assignments over the
-   input variables, rendered one char each — 'a'+i for the one-hot mask
-   of variable i ('#' when that variable is the Roman session delimiter),
-   '.' for the all-false padding message, '?' for anything else. *)
-let word_string sws w =
-  let vars = Array.of_list (Sws_pl.input_vars sws) in
-  let char_of a =
-    match Sws_pl.symbol_of_assignment sws a with
-    | 0 -> '.'
-    | mask when mask land (mask - 1) = 0 ->
-      let i = ref 0 in
-      while mask lsr !i > 1 do
-        incr i
-      done;
-      if !i < Array.length vars && vars.(!i) = "#end" then '#'
-      else if !i < 26 then Char.chr (Char.code 'a' + !i)
-      else '?'
-    | _ -> '?'
-  in
-  String.of_seq (Seq.map char_of (List.to_seq w))
 
 let with_obs ~stats ~trace ~jobs ~cache_cap:(cache_cap, no_cache) ~snapshot f =
   Par.Pool.set_jobs jobs;
@@ -204,7 +180,7 @@ let check stats trace jobs cache_cap snapshot regex_s =
     Fmt.epr "parse error: %s@." m;
     1
   | regex ->
-    let alphabet_size = alphabet_size_of [ regex ] in
+    let alphabet_size = Regex.alphabet_size_of [ regex ] in
     let nfa = Nfa.of_regex ~alphabet_size regex in
     let sws = Roman.to_sws_pl nfa in
     Fmt.pr "Roman-model service %s as SWS(PL, PL): %d states, recursive %b@."
@@ -219,7 +195,7 @@ let check stats trace jobs cache_cap snapshot regex_s =
     (match Decision.pl_validation sws ~output:false with
     | Decision.Yes w ->
       Fmt.pr "validation (output false): Yes (rejected word: %S)@."
-        (word_string sws w)
+        (Roman.word_string sws w)
     | Decision.No -> Fmt.pr "validation (output false): No@."
     | Decision.Exhausted e ->
       Fmt.pr "validation: exhausted (%a)@." Engine.pp_exhausted e);
@@ -243,14 +219,14 @@ let equivalence stats trace jobs cache_cap snapshot left right =
     Fmt.epr "parse error: %s@." m;
     1
   | rl, rr ->
-    let alphabet_size = alphabet_size_of [ rl; rr ] in
+    let alphabet_size = Regex.alphabet_size_of [ rl; rr ] in
     let sl = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size rl) in
     let sr = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size rr) in
     (match Decision.pl_equivalence sl sr with
     | Decision.Equivalent -> Fmt.pr "equivalent@."
     | Decision.Inequivalent w ->
       Fmt.pr "inequivalent (distinguishing sequence of %d messages: %S)@."
-        (List.length w) (word_string sl w)
+        (List.length w) (Roman.word_string sl w)
     | Decision.Equiv_exhausted e ->
       Fmt.pr "exhausted: %a@." Engine.pp_exhausted e);
     0
@@ -279,7 +255,7 @@ let compose stats trace jobs cache_cap snapshot goal views =
       1
     end
     else begin
-      let alphabet_size = alphabet_size_of (goal_r :: view_rs) in
+      let alphabet_size = Regex.alphabet_size_of (goal_r :: view_rs) in
       let goal_nfa = Nfa.of_regex ~alphabet_size goal_r in
       let components =
         List.mapi
@@ -330,7 +306,7 @@ let kprefix stats trace jobs cache_cap snapshot regex_s =
     Fmt.epr "parse error: %s@." m;
     1
   | regex ->
-    let alphabet_size = alphabet_size_of [ regex ] in
+    let alphabet_size = Regex.alphabet_size_of [ regex ] in
     let dfa = Dfa.of_nfa (Nfa.of_regex ~alphabet_size regex) in
     (match Compose.k_prefix_bound dfa with
     | Some k -> Fmt.pr "k-prefix recognizable with k = %d@." k
@@ -424,7 +400,7 @@ let explain stats trace jobs cache_cap snapshot json against regex_s =
     (* Both services share one alphabet so their input variables line up
        and the equivalence witness decodes on either side. *)
     let alphabet_size =
-      alphabet_size_of (regex :: Option.to_list against_r)
+      Regex.alphabet_size_of (regex :: Option.to_list against_r)
     in
     let sws = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size regex) in
     ignore (Decision.pl_non_emptiness sws);
@@ -440,7 +416,7 @@ let explain stats trace jobs cache_cap snapshot json against regex_s =
         Fmt.pr "against %s: equivalent@." (Option.get against)
       | Decision.Inequivalent w ->
         Fmt.pr "against %s: inequivalent (counterexample %S)@."
-          (Option.get against) (word_string sws w)
+          (Option.get against) (Roman.word_string sws w)
       | Decision.Equiv_exhausted e ->
         Fmt.pr "against %s: exhausted (%a)@." (Option.get against)
           Engine.pp_exhausted e));

@@ -70,7 +70,7 @@ exception Tripped of trip
    first, each tagged with the BFS level that produced it. *)
 type cell = { mutable kept : (Iset.t * int) list }
 
-let antichain_contains_cex ~limits:lim ?tick ~sup ~sub () =
+let antichain_contains_cex ~limits:lim ~sup ~sub () =
   let k = Nfa.alphabet_size sub in
   let started = Obs.Clock.now_ns () in
   let explored = ref 0 in
@@ -133,7 +133,6 @@ let antichain_contains_cex ~limits:lim ?tick ~sup ~sub () =
           | _ -> ());
           incr explored;
           Atomic.incr states_total;
-          (match tick with Some f -> f () | None -> ());
           if deadline_hit started lim.deadline_s then trip `Deadline level;
           match lim.max_depth with
           | Some d when level >= d ->
@@ -169,27 +168,27 @@ let check_alphabets a b =
   if Nfa.alphabet_size a <> Nfa.alphabet_size b then
     invalid_arg "Lang: alphabet size mismatch"
 
-let contains_cex ?(limits = no_limits) ?tick sup sub =
+let contains_cex ?(limits = no_limits) sup sub =
   check_alphabets sup sub;
   Obs.Trace.span "lang.contains" @@ fun () ->
-  antichain_contains_cex ~limits ?tick ~sup ~sub ()
+  antichain_contains_cex ~limits ~sup ~sub ()
 
-let contains ?limits ?tick sup sub =
-  Result.map Option.is_none (contains_cex ?limits ?tick sup sub)
+let contains ?limits sup sub =
+  Result.map Option.is_none (contains_cex ?limits sup sub)
 
-let equivalent_cex ?limits ?tick n1 n2 =
+let equivalent_cex ?limits n1 n2 =
   Obs.Trace.span "lang.equivalent" @@ fun () ->
-  match contains_cex ?limits ?tick n2 n1 with
+  match contains_cex ?limits n2 n1 with
   | Ok (Some w) -> Ok (Some w)
   | Error _ as e -> e
-  | Ok None -> contains_cex ?limits ?tick n1 n2
+  | Ok None -> contains_cex ?limits n1 n2
 
-let equivalent ?limits ?tick n1 n2 =
-  Result.map Option.is_none (equivalent_cex ?limits ?tick n1 n2)
+let equivalent ?limits n1 n2 =
+  Result.map Option.is_none (equivalent_cex ?limits n1 n2)
 
 (* Metered emptiness: reachability fixpoint on eps-closed state sets,
    no determinization. *)
-let is_empty ?(limits = no_limits) ?tick n =
+let is_empty ?(limits = no_limits) n =
   Obs.Trace.span "lang.is_empty" @@ fun () ->
   let k = Nfa.alphabet_size n in
   let started = Obs.Clock.now_ns () in
@@ -211,7 +210,6 @@ let is_empty ?(limits = no_limits) ?tick n =
         | _ ->
             incr depth;
             explored := !explored + Iset.cardinal !frontier;
-            (match tick with Some f -> f () | None -> ());
             (match limits.max_states with
             | Some m when !explored > m -> trip `States !depth
             | _ -> ());

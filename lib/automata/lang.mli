@@ -48,22 +48,11 @@ type 'a run = ('a, trip) result
 
 (** [contains_cex sup sub] decides [L(sub) <= L(sup)] (the argument order
     of {!Dfa.nfa_contains}): [Ok None] when contained, [Ok (Some w)] with
-    [w] a shortest word of [L(sub) \ L(sup)] otherwise.  [tick] is called
-    once per expanded pair (the caller's stats hook).  Raises
+    [w] a shortest word of [L(sub) \ L(sup)] otherwise.  Raises
     [Invalid_argument] when the alphabets differ. *)
-val contains_cex :
-  ?limits:limits ->
-  ?tick:(unit -> unit) ->
-  Nfa.t ->
-  Nfa.t ->
-  int list option run
+val contains_cex : ?limits:limits -> Nfa.t -> Nfa.t -> int list option run
 
-val contains :
-  ?limits:limits ->
-  ?tick:(unit -> unit) ->
-  Nfa.t ->
-  Nfa.t ->
-  bool run
+val contains : ?limits:limits -> Nfa.t -> Nfa.t -> bool run
 
 (** [equivalent_cex n1 n2]: [Ok None] when the languages coincide,
     [Ok (Some w)] with [w] accepted by exactly one of the two otherwise.
@@ -71,23 +60,13 @@ val contains :
     the witness is a shortest word of the first non-empty difference, not
     necessarily a shortest distinguishing word ({!Dfa.distinguishing_word}
     finds one of those on DFAs). *)
-val equivalent_cex :
-  ?limits:limits ->
-  ?tick:(unit -> unit) ->
-  Nfa.t ->
-  Nfa.t ->
-  int list option run
+val equivalent_cex : ?limits:limits -> Nfa.t -> Nfa.t -> int list option run
 
-val equivalent :
-  ?limits:limits ->
-  ?tick:(unit -> unit) ->
-  Nfa.t ->
-  Nfa.t ->
-  bool run
+val equivalent : ?limits:limits -> Nfa.t -> Nfa.t -> bool run
 
 (** Metered emptiness: a reachability fixpoint on eps-closed state sets,
     no determinization. *)
-val is_empty : ?limits:limits -> ?tick:(unit -> unit) -> Nfa.t -> bool run
+val is_empty : ?limits:limits -> Nfa.t -> bool run
 
 (** {1 Process-wide gauges}  Read at snapshot time by [Engine.Stats] and
     the server's telemetry registry, like the interner and bit-set

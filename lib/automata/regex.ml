@@ -36,6 +36,9 @@ let rec symbols = function
 
 let max_symbol r = List.fold_left max (-1) (symbols r)
 
+let alphabet_size_of rs =
+  List.fold_left (fun m r -> max m (max_symbol r + 1)) 1 rs
+
 let rec nullable = function
   | Empty -> false
   | Eps -> true

@@ -21,6 +21,11 @@ val word : int list -> t
 
 val symbols : t -> int list
 val max_symbol : t -> int
+
+(** Smallest alphabet covering every given regex (at least one symbol):
+    the alphabet the CLI and the server build NFAs over. *)
+val alphabet_size_of : t list -> int
+
 val nullable : t -> bool
 
 (** Brzozowski derivative: the independent membership oracle the Thompson

@@ -22,21 +22,18 @@ module Gauges = struct
     hits : int;
     misses : int;
     evictions : int;
-    invalidations : int;
     entries : int;
     bytes : int;
   }
 
   let zero =
-    { hits = 0; misses = 0; evictions = 0; invalidations = 0; entries = 0;
-      bytes = 0 }
+    { hits = 0; misses = 0; evictions = 0; entries = 0; bytes = 0 }
 
   let add a b =
     {
       hits = a.hits + b.hits;
       misses = a.misses + b.misses;
       evictions = a.evictions + b.evictions;
-      invalidations = a.invalidations + b.invalidations;
       entries = a.entries + b.entries;
       bytes = a.bytes + b.bytes;
     }
@@ -47,7 +44,6 @@ module Gauges = struct
       hits = g.hits - before.hits;
       misses = g.misses - before.misses;
       evictions = g.evictions - before.evictions;
-      invalidations = g.invalidations - before.invalidations;
       entries = g.entries;
       bytes = g.bytes;
     }
@@ -66,7 +62,6 @@ end
 type dumped_entry = {
   d_fp : int;
   d_repr : string;
-  d_epoch : int;
   d_value : string;
 }
 
@@ -126,7 +121,6 @@ module Make (V : VALUE) = struct
     key : Key.t;
     mutable value : V.t;
     mutable weight : int;
-    mutable epoch : int;
     mutable prev : node option;  (* toward MRU *)
     mutable next : node option;  (* toward LRU *)
   }
@@ -144,7 +138,6 @@ module Make (V : VALUE) = struct
     mutable hits : int;
     mutable misses : int;
     mutable evictions : int;
-    mutable invalidations : int;
     mutable persist : codec option;
   }
 
@@ -187,34 +180,22 @@ module Make (V : VALUE) = struct
 
   let entry_weight k v = String.length k.Key.repr + V.weight v + 64
 
-  let find ?epoch ?(validate = fun _ -> true) t k =
+  let find ?(validate = fun _ -> true) t k =
     locked t @@ fun () ->
     match Tbl.find_opt t.tbl k with
-    | None ->
+    | Some n when validate n.value ->
+      detach t n;
+      push_front t n;
+      t.hits <- t.hits + 1;
+      Some n.value
+    | _ ->
+      (* Absent, or resident but not servable for this request (e.g.
+         computed under a smaller budget): a miss, though the entry
+         stays — it may still serve an equal-or-larger request later. *)
       t.misses <- t.misses + 1;
       None
-    | Some n -> (
-      match epoch with
-      | Some e when n.epoch <> e ->
-        (* Stale: the registry advanced since this was computed. *)
-        drop t n;
-        t.invalidations <- t.invalidations + 1;
-        t.misses <- t.misses + 1;
-        None
-      | _ ->
-        if validate n.value then (
-          detach t n;
-          push_front t n;
-          t.hits <- t.hits + 1;
-          Some n.value)
-        else (
-          (* Resident but not servable for this request (e.g. computed
-             under a smaller budget): a miss, though the entry stays —
-             it may still serve an equal-or-larger request later. *)
-          t.misses <- t.misses + 1;
-          None))
 
-  let add ?(epoch = 0) t k v =
+  let add t k v =
     locked t @@ fun () ->
     let w = entry_weight k v in
     (match Tbl.find_opt t.tbl k with
@@ -222,12 +203,10 @@ module Make (V : VALUE) = struct
       t.bytes <- t.bytes + w - n.weight;
       n.value <- v;
       n.weight <- w;
-      n.epoch <- epoch;
       detach t n;
       push_front t n
     | None ->
-      let n = { key = k; value = v; weight = w; epoch; prev = None; next = None }
-      in
+      let n = { key = k; value = v; weight = w; prev = None; next = None } in
       Tbl.add t.tbl k n;
       t.bytes <- t.bytes + w;
       push_front t n);
@@ -252,7 +231,6 @@ module Make (V : VALUE) = struct
       Gauges.hits = t.hits;
       misses = t.misses;
       evictions = t.evictions;
-      invalidations = t.invalidations;
       entries = Tbl.length t.tbl;
       bytes = t.bytes;
     }
@@ -288,8 +266,7 @@ module Make (V : VALUE) = struct
             match c.c_enc n.value with
             | None -> acc (* unserializable value: skip, don't fail *)
             | Some bytes ->
-              { d_fp = n.key.Key.fp; d_repr = n.key.Key.repr;
-                d_epoch = n.epoch; d_value = bytes }
+              { d_fp = n.key.Key.fp; d_repr = n.key.Key.repr; d_value = bytes }
               :: acc
           in
           walk acc n.prev
@@ -310,7 +287,7 @@ module Make (V : VALUE) = struct
           match c.c_dec e.d_value with
           | None -> n (* undecodable bytes: skip, don't fail *)
           | Some v ->
-            add ~epoch:e.d_epoch t (Key.make ~fp:e.d_fp ~repr:e.d_repr) v;
+            add t (Key.make ~fp:e.d_fp ~repr:e.d_repr) v;
             n + 1)
         0 dumped.d_entries
 
@@ -327,7 +304,6 @@ module Make (V : VALUE) = struct
         hits = 0;
         misses = 0;
         evictions = 0;
-        invalidations = 0;
         persist = None;
       }
     in

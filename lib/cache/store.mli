@@ -11,12 +11,6 @@
     representation; lookups compare the representation, so a
     fingerprint collision costs a probe, never a wrong answer.
 
-    Entries carry the registry/repository {e epoch} they were computed
-    under.  A lookup that passes [~epoch] treats an entry from any
-    other epoch as stale: the entry is dropped, the class's
-    invalidation gauge is bumped, and the lookup misses.  Epoch-less
-    classes (content-addressed caches) simply never pass [~epoch].
-
     All instances register themselves in a global registry so the
     server and CLI can snapshot per-class gauges, clear everything, or
     re-cap everything ([--cache-cap]). *)
@@ -50,7 +44,6 @@ module Gauges : sig
     hits : int;
     misses : int;
     evictions : int;
-    invalidations : int;
     entries : int;  (** resident entries (a level, not a counter) *)
     bytes : int;  (** approximate resident bytes (a level) *)
   }
@@ -82,7 +75,6 @@ end
 type dumped_entry = {
   d_fp : int;
   d_repr : string;
-  d_epoch : int;
   d_value : string;  (** opaque codec output *)
 }
 
@@ -104,18 +96,18 @@ module Make (V : VALUE) : sig
       instance's gauges aggregate under; several stores may share a
       class. *)
 
-  val find : ?epoch:int -> ?validate:(V.t -> bool) -> t -> Key.t -> V.t option
-  (** LRU-touching lookup.  With [~epoch], an entry stored under a
-      different epoch is dropped (invalidation + miss).  With
-      [~validate], a resident entry the predicate rejects counts as a
-      miss and is returned as [None] — but stays resident, untouched in
-      LRU order, because it may satisfy a later request (e.g. an answer
-      computed under a small budget awaiting an equal-or-smaller
-      request). *)
+  val find : ?validate:(V.t -> bool) -> t -> Key.t -> V.t option
+  (** LRU-touching lookup.  With [~validate], a resident entry the
+      predicate rejects counts as a miss and is returned as [None] — but
+      stays resident, untouched in LRU order, because it may satisfy a
+      later request (e.g. an answer computed under a small budget
+      awaiting an equal-or-larger request), or be overwritten by the
+      caller's recompute (e.g. a server reply computed against an older
+      component registry). *)
 
-  val add : ?epoch:int -> t -> Key.t -> V.t -> unit
+  val add : t -> Key.t -> V.t -> unit
   (** Insert or overwrite at the MRU end, then evict from the LRU end
-      until both caps hold.  [epoch] defaults to [0]. *)
+      until both caps hold. *)
 
   val remove : t -> Key.t -> unit
   val clear : t -> unit

@@ -447,13 +447,23 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2) ~goal ~components
         plan_accepts ~chain_accepts:(chain_accepts w) plan <> goal_accepts)
       !tests
   in
+  (* The exact check runs under the time the budget has left; its only
+     limit is that deadline, so a trip is a deadline trip. *)
   let check plan =
+    let limits = Lang.limits ?deadline_s:(Engine.Meter.remaining_s meter) () in
     try
-      match Lang.equivalent_cex (plan_nfa plan) goal with
+      match Lang.equivalent_cex ~limits (plan_nfa plan) goal with
       | Ok None -> `Equivalent
       | Ok (Some w) -> `Differs (Some w)
-      | Error _ -> assert false (* no limits *)
+      | Error _ -> `Tripped
     with Not_found -> `Differs None
+  in
+  let deadline_trip () =
+    No_mediator_within_bound
+      (Engine.Meter.exhaust meter ~depth_reached:(max 0 (bound - 1))
+         ~limit:`Deadline
+         (Printf.sprintf "deadline of %.3gs exceeded"
+            (Option.value ~default:0. budget.Engine.Budget.deadline_s)))
   in
   let learn w = tests := (w, Nfa.accepts goal w) :: !tests in
   (* Every plan is ticked, refuted or not, so [plans_checked] and every
@@ -475,6 +485,7 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2) ~goal ~components
         else
           match check plan with
           | `Equivalent -> Found plan
+          | `Tripped -> deadline_trip ()
           | `Differs w ->
             Option.iter learn w;
             search rest))

@@ -407,6 +407,8 @@ module Meter = struct
 
   let nodes t = Atomic.get t.nodes
   let elapsed_s t = Int64.to_float (Obs.Clock.elapsed_ns t.started_ns) /. 1e9
+  let remaining_s t =
+    Option.map (fun s -> s -. elapsed_s t) t.budget.Budget.deadline_s
 
   let exhaust t ~depth_reached ~limit message =
     Obs.Trace.emit (Obs.Trace.Budget_tripped limit);
@@ -610,15 +612,14 @@ module Memo (V : MEMO_VALUE) = struct
       ~encode:(fun v -> try Some (Marshal.to_string v []) with _ -> None)
       ~decode:(fun s -> try Some (Marshal.from_string s 0) with _ -> None)
 
-  let run t ?(stats = Stats.global) ?budget ?epoch ~name ~key ~outcome
-      ~cacheable f =
+  let run t ?(stats = Stats.global) ?budget ~name ~key ~outcome ~cacheable f =
     if not (caching_enabled ()) then run ~stats ~name ~outcome f
     else begin
       let req = Option.value budget ~default:Budget.unlimited in
       (* Serve-rejection is decided inside [find] so the gauges stay
          truthful: an entry resident but computed under too small a
          budget counts as a miss, not a hit. *)
-      match S.find ?epoch ~validate:(servable ~req) t.store key with
+      match S.find ~validate:(servable ~req) t.store key with
       | Some { Entry.v; _ } ->
         Obs.Trace.emit (Obs.Trace.Cache { layer = t.cls; hit = true });
         (* Serve through [run]: the hit gets a provenance record
@@ -632,7 +633,7 @@ module Memo (V : MEMO_VALUE) = struct
            a call costs exactly one provenance record, hit or miss. *)
         let v = f () in
         if cacheable v then
-          S.add ?epoch t.store key { Entry.under = budget; v };
+          S.add t.store key { Entry.under = budget; v };
         v
     end
 end
@@ -661,8 +662,6 @@ let cache_gauges_json snap =
                ("hits", Obs.Json.Int g.Cache.Store.Gauges.hits);
                ("misses", Obs.Json.Int g.Cache.Store.Gauges.misses);
                ("evictions", Obs.Json.Int g.Cache.Store.Gauges.evictions);
-               ( "invalidations",
-                 Obs.Json.Int g.Cache.Store.Gauges.invalidations );
                ("entries", Obs.Json.Int g.Cache.Store.Gauges.entries);
                ("bytes", Obs.Json.Int g.Cache.Store.Gauges.bytes);
              ] ))

@@ -175,6 +175,11 @@ module Meter : sig
 
   val nodes : t -> int
 
+  (** Wall-clock seconds left before the budget's deadline ([None]: no
+      deadline; negative once it has passed), for kernels that take a
+      deadline of their own. *)
+  val remaining_s : t -> float option
+
   (** [check m ~depth] is [Error e] as soon as starting work at [depth]
       would exceed the budget — depth first, then nodes, then deadline. *)
   val check : t -> depth:int -> (unit, exhausted) result
@@ -190,7 +195,7 @@ end
 (** {1 Cache switch}
 
     One global toggle for the memoization layers ({!Unfold}'s incremental
-    unfolding store and {!Sws_pl}'s automata chain), so the benchmark can
+    unfolding store and {!Sws_pl}'s vector DFA store), so the benchmark can
     measure cached vs uncached on identical code paths. *)
 
 val caching_enabled : unit -> bool
@@ -277,7 +282,6 @@ module Memo (V : MEMO_VALUE) : sig
     t ->
     ?stats:Stats.t ->
     ?budget:Budget.t ->
-    ?epoch:int ->
     name:string ->
     key:Cache.Store.Key.t ->
     outcome:(V.t -> Obs.Trace.outcome) ->
@@ -286,9 +290,8 @@ module Memo (V : MEMO_VALUE) : sig
     V.t
   (** Omit [budget] when the procedure is decisive independent of any
       budget (the answer is then served under every request budget);
-      pass it otherwise.  [epoch] stamps/validates entries against a
-      registry epoch (see [Cache.Store.find]).  When the global cache
-      switch is off this is exactly {!run}. *)
+      pass it otherwise.  When the global cache switch is off this is
+      exactly {!run}. *)
 
   val set_persist :
     ?abi_sensitive:bool ->
@@ -330,4 +333,4 @@ val cache_snapshot_delta :
 val cache_set_caps : ?max_entries:int -> ?max_bytes:int -> unit -> unit
 
 val cache_gauges_json : (string * Cache.Store.Gauges.t) list -> Obs.Json.t
-(** Per-class [{hits,misses,evictions,invalidations,entries,bytes}]. *)
+(** Per-class [{hits,misses,evictions,entries,bytes}]. *)

@@ -78,6 +78,27 @@ let encode_input word =
 
 let dfa_to_sws_pl dfa = to_sws_pl (Dfa.to_nfa dfa)
 
+(* Witness words as compact strings: messages are assignments over the
+   input variables, rendered one char each — 'a'+i for the one-hot mask
+   of variable i ('#' when that variable is the session delimiter), '.'
+   for the all-false padding message, '?' for anything else. *)
+let word_string sws w =
+  let vars = Array.of_list (Sws_pl.input_vars sws) in
+  let char_of a =
+    match Sws_pl.symbol_of_assignment sws a with
+    | 0 -> '.'
+    | mask when mask land (mask - 1) = 0 ->
+      let i = ref 0 in
+      while mask lsr !i > 1 do
+        incr i
+      done;
+      if !i < Array.length vars && vars.(!i) = end_var then '#'
+      else if !i < 26 then Char.chr (Char.code 'a' + !i)
+      else '?'
+    | _ -> '?'
+  in
+  String.of_seq (Seq.map char_of (List.to_seq w))
+
 (* ------------------------------------------------------------------ *)
 (* The SWS(CQ, UCQ) variant                                            *)
 (* ------------------------------------------------------------------ *)

@@ -21,6 +21,13 @@ val dfa_to_sws_pl : Automata.Dfa.t -> Sws_pl.t
 (** f_I: one-hot letter assignments plus the doubled delimiter. *)
 val encode_input : int list -> Proplogic.Prop.assignment list
 
+(** A witness word of [sws] as a compact string, one char per message:
+    ['a'+i] for the one-hot assignment of input variable [i], ['#'] when
+    that variable is {!end_var}, ['.'] for the all-false padding message
+    and ['?'] for anything else.  The rendering of [swsd] replies and
+    [swscli] output. *)
+val word_string : Sws_pl.t -> Proplogic.Prop.assignment list -> string
+
 (** The data-driven variant in SWS(CQ, UCQ): output is empty iff the
     string is rejected (deferred commitment, Section 3). *)
 val to_sws_cq : Automata.Nfa.t -> Sws_data.t

@@ -30,34 +30,12 @@ let act_var i =
 
 type query = Prop.t
 
-(* The vector DFA is deterministic in the (immutable) service, so each
-   service value carries one lazily filled slot for it: pl_non_emptiness,
-   pl_validation, pl_equivalence and Compose.pl_language_nfa stop paying
-   for the same exponential construction twice.  The AFA itself is
-   transient: it is built only to explore its reachable truth vectors,
-   and its formula trees (tens of KB per service) are dropped as soon as
-   the vector DFA exists.  [Engine.set_caching false] bypasses the slot
-   (reads and writes) for ablations.
-
-   The slot lives in a record *shared by content*: [make] fetches the
-   record from the process-lifetime store (cache class "automata") keyed
-   on the service's canonical representation, so a second request — or a
-   second server session — building an equal service finds the vector
-   DFA already built.  The record has its own mutex because sharers may
-   sit on different pool domains; builds run outside the lock (leaf-lock
-   discipline, DESIGN.md §4h) and the first finished build wins. *)
-type automata_cache = {
-  mu : Mutex.t;
-  key : Cache.Store.Key.t option; (* its store key; [None] when private *)
-  mutable vdfa : Automata.Dfa.t option;
-  mutable bytes : int; (* approximate resident size, the DFA once filled *)
-}
-
 type t = {
   stamp : int;
   input_vars : string list;
   def : (query, query) Sws_def.t;
-  cache : automata_cache;
+  repr : string; (* canonical content repr, see [canonical_repr] *)
+  key : Cache.Store.Key.t; (* its vector DFA's key in [dfas] *)
 }
 
 let next_stamp = ref 0
@@ -65,45 +43,6 @@ let next_stamp = ref 0
 let fresh_stamp () =
   incr next_stamp;
   !next_stamp
-
-(* The record itself with its mutex, before the slot is filled. *)
-let record_bytes = 128
-
-let fresh_cache key =
-  { mu = Mutex.create (); key; vdfa = None; bytes = record_bytes }
-
-module Slot_value = struct
-  type t = automata_cache
-
-  (* Re-weighed when the slot fills (see [vector_dfa]), so the class's
-     byte gauge and byte cap see the automaton's real size. *)
-  let weight c = c.bytes
-end
-
-module Slot_store = Cache.Store.Make (Slot_value)
-
-let slots = Slot_store.create ~max_entries:1024 ~cls:"automata" ()
-
-(* Exact content identity: see Sws_data.canonical_repr for why
-   marshalling is canonical enough here (equal services are built
-   through identical construction sequences on every reuse path). *)
-let canonical_repr ~input_vars ~def =
-  Marshal.to_string (input_vars, def) [ Marshal.No_sharing ]
-
-let shared_cache ~input_vars ~def =
-  if not (Engine.caching_enabled ()) then fresh_cache None
-  else begin
-    let key = Cache.Store.Key.of_string (canonical_repr ~input_vars ~def) in
-    match Slot_store.find slots key with
-    | Some c -> c
-    | None ->
-      let c = fresh_cache (Some key) in
-      (* Two domains may race to register equal services; both records
-         are valid (their slots converge on equal automata), so losing the
-         race only costs the loser its private record. *)
-      Slot_store.add slots key c;
-      c
-  end
 
 exception Ill_formed = Sws_def.Ill_formed
 
@@ -120,12 +59,17 @@ let check_vars ~allowed (what, q) f =
 
 let make ~input_vars ~start ~rules =
   let def = Sws_def.make ~start ~rules in
+  (* Exact content identity: see Sws_data.canonical_repr for why
+     marshalling is canonical enough here (equal services are built
+     through identical construction sequences on every reuse path). *)
+  let repr = Marshal.to_string (input_vars, def) [ Marshal.No_sharing ] in
   let t =
     {
       stamp = fresh_stamp ();
       input_vars;
       def;
-      cache = shared_cache ~input_vars ~def;
+      repr;
+      key = Cache.Store.Key.of_string repr;
     }
   in
   let env_vars = msg_var :: input_vars in
@@ -145,7 +89,7 @@ let make ~input_vars ~start ~rules =
   t
 
 let stamp t = t.stamp
-let canonical_repr t = canonical_repr ~input_vars:t.input_vars ~def:t.def
+let canonical_repr t = t.repr
 let def t = t.def
 let input_vars t = t.input_vars
 let is_recursive t = Sws_def.is_recursive t.def
@@ -370,56 +314,44 @@ let to_afa t =
     states;
   Afa.create ~alphabet_size ~start:(2 * index start_name) ~finals:[] ~delta
 
-(* Approximate resident bytes of the vector DFA, for the store's byte
-   accounting: one int row per state. *)
-let dfa_bytes d =
-  (Automata.Dfa.num_states d * (Automata.Dfa.alphabet_size d + 2))
-  * (Sys.word_size / 8)
+(* Vector DFAs, in the process-lifetime store (class "automata") keyed
+   on the service's content, so equal services built by different
+   requests or server sessions share one.  The AFA itself is transient:
+   it is built only to explore its reachable truth vectors, and its
+   formula trees (tens of KB per service) are dropped as soon as the
+   vector DFA exists.  Each entry is weighed as one int row per state. *)
+module Dfa_store = Cache.Store.Make (struct
+  type t = Automata.Dfa.t
+
+  let weight d =
+    Automata.Dfa.num_states d * (Automata.Dfa.alphabet_size d + 2)
+    * (Sys.word_size / 8)
+end)
+
+let dfas = Dfa_store.create ~max_entries:1024 ~cls:"automata" ()
 
 (* The memoized vector DFA.  Each uncached construction appears in traces
-   as one "vdfa_build" span and feeds its latency histogram.  The slot
-   record may be shared across pool domains, so reads and writes go
-   through its mutex; the build itself runs outside the lock (it calls
-   into Symtab-locking automata code), and when two domains race, the
-   first finished build wins — both build the same automaton, so the
-   loser only wastes its own work.  A filled slot re-adds the record to
-   its store under its new weight (outside the record's mutex: the
-   store's lock is a leaf lock). *)
+   as one "vdfa_build" span and feeds its latency histogram.  Two domains
+   missing on the same service both build it and the later [add] wins;
+   the automata are equal. *)
 let vector_dfa ?(stats = Engine.Stats.global) t =
   let build () =
     Obs.Trace.span "vdfa_build" (fun () ->
         Automata.Afa.reverse_vector_dfa (to_afa t))
   in
   if not (Engine.caching_enabled ()) then build ()
-  else begin
-    match Mutex.protect t.cache.mu (fun () -> t.cache.vdfa) with
+  else
+    match Dfa_store.find dfas t.key with
     | Some v ->
       Engine.Stats.automata_hit stats;
       v
     | None ->
       Engine.Stats.automata_miss stats;
       let v = build () in
-      let v, filled =
-        Mutex.protect t.cache.mu @@ fun () ->
-        match t.cache.vdfa with
-        | Some w ->
-          (w, false) (* another domain finished first; converge on its value *)
-        | None ->
-          t.cache.vdfa <- Some v;
-          t.cache.bytes <- record_bytes + dfa_bytes v;
-          (v, true)
-      in
-      (match t.cache.key with
-      | Some key when filled -> Slot_store.add slots key t.cache
-      | _ -> ());
+      Dfa_store.add dfas t.key v;
       v
-  end
 
-let clear_cache t =
-  Mutex.protect t.cache.mu (fun () ->
-      t.cache.vdfa <- None;
-      t.cache.bytes <- record_bytes);
-  Option.iter (fun key -> Slot_store.add slots key t.cache) t.cache.key
+let clear_cache t = Dfa_store.remove dfas t.key
 
 (* ------------------------------------------------------------------ *)
 (* Nonrecursive unfolding to a single formula                          *)

@@ -36,10 +36,10 @@ val make :
 val stamp : t -> int
 
 (** Exact canonical representation of the service's content (input
-    variables + definition), as an opaque byte string: equal services
-    get equal representations whatever their stamps.  The cache keys of
-    the decision/composition result stores are built from it
-    (DESIGN.md §4h). *)
+    variables + definition), as an opaque byte string computed once by
+    {!make}: equal services get equal representations whatever their
+    stamps.  The cache keys of the decision/composition result stores
+    and of {!vector_dfa} are built from it (DESIGN.md §4h). *)
 val canonical_repr : t -> string
 
 val def : t -> (query, query) Sws_def.t
@@ -90,16 +90,16 @@ val to_afa : t -> Automata.Afa.t
     keeps word lengths and equivalence, so [Decision] answers all three
     SWS(PL, PL) questions on it.
 
-    Memoized per service *content*: the slot record lives in the
+    Memoized per service *content*: the DFA is an entry of the
     process-lifetime store (cache class ["automata"]) keyed on
-    {!canonical_repr}, so equal services built by different requests or
-    server sessions share one vector DFA, and is re-weighed in that store
-    when the slot fills.  Bypassed entirely under
-    [Engine.set_caching false]; cache traffic is counted into [stats]
-    (default: the global sink). *)
+    {!canonical_repr} and weighed when it is added, so equal services
+    built by different requests or server sessions share one vector DFA,
+    and an evicted DFA is rebuilt on the next read.  Bypassed entirely
+    under [Engine.set_caching false]; cache traffic is counted into
+    [stats] (default: the global sink). *)
 val vector_dfa : ?stats:Engine.Stats.t -> t -> Automata.Dfa.t
 
-(** Drop this service's memoized vector DFA. *)
+(** Drop this service's memoized vector DFA from the store. *)
 val clear_cache : t -> unit
 
 (** {1 Nonrecursive unfolding} *)

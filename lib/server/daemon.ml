@@ -56,9 +56,10 @@ let default_config addr =
 (*                                                                     *)
 (* Two layers over the process-lifetime store (DESIGN.md §4h).  L1     *)
 (* (class "server_l1") keys the raw request — session id, method and   *)
-(* rendered params — and stamps entries with the session's registry    *)
-(* epoch, so any register/unregister/re-register invalidates every     *)
-(* reply that might have resolved a component reference.  L2 (class    *)
+(* rendered params — and stores each reply with the session's registry *)
+(* epoch; a lookup serves it only at that epoch, so any register/      *)
+(* unregister/re-register invalidates every reply that might have      *)
+(* resolved a component reference.  L2 (class                          *)
 (* "server_l2") keys the content-resolved request — the parsed regex   *)
 (* ASTs and the effective budget — so equal work is shared across      *)
 (* sessions whatever names their registries use.  Only definitive      *)
@@ -67,25 +68,32 @@ let default_config addr =
 (* envelope (trace id, meta) stays per-request.                        *)
 (* ------------------------------------------------------------------ *)
 
+let payload_weight j = String.length (J.to_string j)
+
 module Reply_store = Cache.Store.Make (struct
   type t = J.t
 
-  let weight j = String.length (J.to_string j)
+  let weight = payload_weight
 end)
 
-let l1_store = Reply_store.create ~max_entries:1024 ~cls:"server_l1" ()
+(* An L1 reply with the session epoch it was computed at. *)
+module L1_store = Cache.Store.Make (struct
+  type t = int * J.t
+
+  let weight (_, j) = payload_weight j
+end)
+
+let l1_store = L1_store.create ~max_entries:1024 ~cls:"server_l1" ()
 let l2_store = Reply_store.create ~max_entries:1024 ~cls:"server_l2" ()
 
 (* Snapshot persistence for L2 only.  Payloads are JSON, so the codec is
    self-describing and survives binary upgrades ([abi_sensitive:false]).
    L2 keys embed the resolved content (regex ASTs, effective budget), so
    a restored entry is correct in any process — it is what makes the
-   first post-restart request a warm hit.  L1 deliberately gets no
-   codec: its keys embed the session id and are validated by the
-   registry epoch, and both counters restart from the same values after
-   a reboot — a persisted L1 entry computed against one session's
-   registry could collide with an unrelated session that happens to
-   reuse the sid and epoch number. *)
+   first post-restart request a warm hit.  L1 gets no codec: its keys
+   embed the session id and its entries the registry epoch, and both
+   counters restart from the same values after a reboot, so a persisted
+   L1 entry could be served to an unrelated session. *)
 let () =
   let encode j = Some (J.to_string j) in
   let decode s =
@@ -140,7 +148,7 @@ type t = {
   conns_mu : Mutex.t;
   mutable conns : (Unix.file_descr * Thread.t) list;
   mutable snap_prov : snapshot_prov option;
-  mutable seed_components : (int * (string * string) list) option;
+  mutable seed_components : (string * string) list;
 }
 
 let bound_addr t = t.bound
@@ -210,28 +218,6 @@ let budget_param cfg params : (Engine.Budget.t, reply) result =
     match Engine.Budget.of_json j with
     | Ok b -> Ok (Engine.Budget.combine b cfg.max_budget)
     | Error e -> bad e)
-
-(* Witness words travel as compact strings, one char per message: 'a'+i
-   for the one-hot mask of input variable i ('#' for the Roman session
-   delimiter), '.' for the all-false padding message, '?' otherwise. *)
-let word_string sws w =
-  let vars = Array.of_list (Sws_pl.input_vars sws) in
-  let char_of a =
-    match Sws_pl.symbol_of_assignment sws a with
-    | 0 -> '.'
-    | mask when mask land (mask - 1) = 0 ->
-      let i = ref 0 in
-      while mask lsr !i > 1 do
-        incr i
-      done;
-      if !i < Array.length vars && vars.(!i) = "#end" then '#'
-      else if !i < 26 then Char.chr (Char.code 'a' + !i)
-      else '?'
-    | _ -> '?'
-  in
-  String.of_seq (Seq.map char_of (List.to_seq w))
-
-let alphabet_size_of regexes = Session.alphabet_size_of regexes
 
 let decision_outcome_json = function
   | Decision.Yes w ->
@@ -361,7 +347,7 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
       in
       let* _, _, r = resolve cfg session j in
       l2 ~csrc [ "check/2"; regex_repr r ] @@ fun () ->
-      let alphabet_size = alphabet_size_of [ r ] in
+      let alphabet_size = Regex.alphabet_size_of [ r ] in
       let sws = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size r) in
       let* ne = decision_outcome_json (Decision.pl_non_emptiness ~stats:sink sws) in
       let* va =
@@ -392,7 +378,7 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
       let* _, _, rl = resolve cfg session jl in
       let* _, _, rr = resolve cfg session jr in
       l2 ~csrc [ "equivalence/2"; regex_repr rl; regex_repr rr ] @@ fun () ->
-      let alphabet_size = alphabet_size_of [ rl; rr ] in
+      let alphabet_size = Regex.alphabet_size_of [ rl; rr ] in
       let sl = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size rl) in
       let sr = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size rr) in
       (match Decision.pl_equivalence ~stats:sink sl sr with
@@ -404,7 +390,7 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
                 [
                   ("equivalent", J.Bool false);
                   ("distinguishing_len", J.Int (List.length w));
-                  ("counterexample", J.String (word_string sl w));
+                  ("counterexample", J.String (Roman.word_string sl w));
                 ]))
       | Decision.Equiv_exhausted e -> Error (`Exhausted e))
     | "kprefix" ->
@@ -417,7 +403,7 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
       let* _, _, r = resolve cfg session j in
       l2 ~csrc [ "kprefix"; regex_repr r ]
       @@ fun () ->
-      let alphabet_size = alphabet_size_of [ r ] in
+      let alphabet_size = Regex.alphabet_size_of [ r ] in
       let dfa = Dfa.of_nfa (Nfa.of_regex ~alphabet_size r) in
       Ok
         (`Ok
@@ -467,7 +453,9 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
         | Some (J.String "mdtb") -> Ok `Mdtb
         | Some _ -> bad "mode must be \"or\" or \"mdtb\""
       in
-      let alphabet_size = alphabet_size_of (goal_r :: List.map snd named_rs) in
+      let alphabet_size =
+        Regex.alphabet_size_of (goal_r :: List.map snd named_rs)
+      in
       let goal_nfa = Nfa.of_regex ~alphabet_size goal_r in
       let components =
         List.map
@@ -577,12 +565,7 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
           (fun c -> (c.Session.name, c.Session.spec))
           (Session.components session)
       in
-      (* epoch-stamped: cached replies persisted here were stamped with
-         the session epoch at the time they were computed, and the seeded
-         session after a restart starts at least at this epoch *)
-      (match
-         Snapshot.save ~components:(Session.epoch session, comps) ~path ()
-       with
+      (match Snapshot.save ~components:comps ~path () with
       | Error msg -> Error (`Error (P.err_internal, msg))
       | Ok info ->
         Telemetry.snapshot_saved tel ~bytes:info.Snapshot.i_bytes;
@@ -601,7 +584,6 @@ let dispatch t session ~sink ~csrc (req : Protocol.request) : reply =
                   ("bytes", J.Int info.Snapshot.i_bytes);
                   ("format_version", J.Int info.Snapshot.i_version);
                   ("digest", J.String (Printf.sprintf "%x" info.Snapshot.i_digest));
-                  ("epoch", J.Int (Session.epoch session));
                   ( "sections",
                     J.Obj
                       (List.map
@@ -703,8 +685,9 @@ let handle t session (req : Protocol.request) : J.t * [ `Keep | `Close ] =
         if not (Engine.caching_enabled () && cacheable_method req.P.meth)
         then compute ()
         else begin
-          (* L1: the raw request per session, validated against the
-             registry epoch so any (un)registration invalidates it *)
+          (* L1: the raw request per session, served only at the
+             registry epoch it was computed at, so any (un)registration
+             invalidates it; the recompute overwrites the stale entry *)
           let epoch = Session.epoch session in
           let key =
             Cache.Store.Key.of_parts
@@ -715,14 +698,16 @@ let handle t session (req : Protocol.request) : J.t * [ `Keep | `Close ] =
                 J.to_string req.P.params;
               ]
           in
-          match Reply_store.find ~epoch l1_store key with
-          | Some payload ->
+          match
+            L1_store.find ~validate:(fun (e, _) -> e = epoch) l1_store key
+          with
+          | Some (_, payload) ->
             csrc := `L1;
             `Ok payload
           | None ->
             let r = compute () in
             (match r with
-            | `Ok payload -> Reply_store.add ~epoch l1_store key payload
+            | `Ok payload -> L1_store.add l1_store key (epoch, payload)
             | _ -> ());
             r
         end)
@@ -805,13 +790,10 @@ let serve_conn t fd =
   let cfg = t.config in
   let session = Session.create ~sid:(Atomic.fetch_and_add t.next_sid 1) in
   (* warm boot: every fresh session starts from the snapshot's component
-     registry (and at least its epoch), so a client reconnecting after a
-     restart sees the components it registered before it *)
-  (match t.seed_components with
-  | Some (epoch, comps) ->
-    ignore
-      (Session.seed session ~max_components:cfg.max_components ~epoch comps)
-  | None -> ());
+     registry, so a client reconnecting after a restart sees the
+     components it registered before it *)
+  ignore
+    (Session.seed session ~max_components:cfg.max_components t.seed_components);
   Telemetry.connection_opened t.tel;
   Telemetry.session_started t.tel;
   let respond json = Protocol.write_frame fd (J.to_string json) in
@@ -1016,7 +998,7 @@ let start config =
       conns_mu = Mutex.create ();
       conns = [];
       snap_prov = None;
-      seed_components = None;
+      seed_components = [];
     }
   in
   (* Warm boot, before the accept thread exists: the first connection must
@@ -1057,7 +1039,8 @@ let start config =
             sp_cache_entries = cache_entries;
             sp_caches_skipped = contents.Snapshot.c_caches_skipped;
           };
-      t.seed_components <- contents.Snapshot.c_components;
+      t.seed_components <-
+        Option.value ~default:[] contents.Snapshot.c_components;
       Obs.Log.info
         ~fields:
           [
@@ -1067,10 +1050,7 @@ let start config =
             ("symtab", J.Int contents.Snapshot.c_symtab);
             ("cache_entries", J.Int cache_entries);
             ( "components",
-              J.Int
-                (match contents.Snapshot.c_components with
-                | Some (_, cs) -> List.length cs
-                | None -> 0) );
+              J.Int (List.length t.seed_components) );
           ]
         "snapshot loaded"));
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());

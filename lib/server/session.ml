@@ -60,25 +60,16 @@ let register t ~max_components ~name ~spec =
         Ok c
       end
 
-(* Seed a fresh session from a snapshot's component registry.  The epoch
-   is pinned at least to the snapshot's: a snapshot taken mid-session
-   carries the epoch its cached replies were stamped with, so replies
-   must not be re-served under a *smaller* epoch after restart (L1 keys
-   also embed the sid, which is fresh per connection, so stale serving is
-   doubly impossible — but the pinned epoch keeps the invalidation story
-   uniform).  Unparsable specs are skipped, not fatal: a snapshot from a
-   newer regex dialect should degrade to a partial registry. *)
-let seed t ~max_components ~epoch comps =
-  let seeded =
-    List.fold_left
-      (fun n (name, spec) ->
-        match register t ~max_components ~name ~spec with
-        | Ok _ -> n + 1
-        | Error _ -> n)
-      0 comps
-  in
-  t.epoch <- max t.epoch epoch;
-  seeded
+(* Seed a fresh session from a snapshot's component registry.
+   Unparsable specs are skipped, not fatal: a snapshot from a newer regex
+   dialect should degrade to a partial registry. *)
+let seed t ~max_components comps =
+  List.fold_left
+    (fun n (name, spec) ->
+      match register t ~max_components ~name ~spec with
+      | Ok _ -> n + 1
+      | Error _ -> n)
+    0 comps
 
 let unregister t name =
   let before = List.length t.components in
@@ -89,8 +80,5 @@ let unregister t name =
 
 let find t name = List.find_opt (fun c -> c.name = name) t.components
 let components t = t.components
-
-let alphabet_size_of regexes =
-  List.fold_left (fun m r -> max m (Regex.max_symbol r + 1)) 1 regexes
 
 let nfa_of c ~alphabet_size = Nfa.of_regex ~alphabet_size c.regex

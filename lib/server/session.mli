@@ -25,10 +25,11 @@ val create : sid:int -> t
 val sid : t -> int
 
 (** Registry stamp: advanced by every successful [register] (including
-    an in-place re-registration, whose spec may differ), [unregister]
-    that removed something.  Cached replies that resolved component
-    references are stored under the epoch they were computed at, so any
-    registry change invalidates them (DESIGN.md §4h). *)
+    an in-place re-registration, whose spec may differ) and every
+    [unregister] that removed something.  The daemon's L1 reply cache
+    stores each reply with the epoch it was computed at and serves it
+    only at that epoch, so any registry change invalidates it
+    (DESIGN.md §4h). *)
 val epoch : t -> int
 
 (** ["s<sid>-r<seq>"] — unique per request, deterministic per connection,
@@ -53,13 +54,10 @@ val register :
   t -> max_components:int -> name:string -> spec:string ->
   (component, [ `Bad of string | `Full ]) result
 
-(** [seed t ~max_components ~epoch comps] registers each [(name, spec)]
-    from a snapshot's COMP section (unparsable specs are skipped) and
-    pins the session epoch to at least [epoch], so reply-cache entries
-    persisted mid-session can never be re-served under a smaller epoch
-    after a restart.  Returns the number of components registered. *)
-val seed :
-  t -> max_components:int -> epoch:int -> (string * string) list -> int
+(** [seed t ~max_components comps] registers each [(name, spec)] from a
+    snapshot's COMP section in order (unparsable specs are skipped).
+    Returns the number of components registered. *)
+val seed : t -> max_components:int -> (string * string) list -> int
 
 (** [true] if the component existed. *)
 val unregister : t -> string -> bool
@@ -68,10 +66,6 @@ val find : t -> string -> component option
 
 (** In registration order. *)
 val components : t -> component list
-
-(** Smallest alphabet covering every given regex (symbols are letters
-    [a..z] mapped to [0..25]; the same rule the CLI uses). *)
-val alphabet_size_of : Automata.Regex.t list -> int
 
 (** The component's NFA over an alphabet of [alphabet_size] symbols. *)
 val nfa_of : component -> alphabet_size:int -> Automata.Nfa.t

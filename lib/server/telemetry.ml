@@ -283,7 +283,6 @@ let cache_fields =
     ("hits", fun (g : Cache.Store.Gauges.t) -> g.Cache.Store.Gauges.hits);
     ("misses", fun g -> g.Cache.Store.Gauges.misses);
     ("evictions", fun g -> g.Cache.Store.Gauges.evictions);
-    ("invalidations", fun g -> g.Cache.Store.Gauges.invalidations);
     ("entries", fun g -> g.Cache.Store.Gauges.entries);
     ("bytes", fun g -> g.Cache.Store.Gauges.bytes);
   ]

@@ -31,7 +31,7 @@ exception Corrupt of string
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 let magic = "SWSNAP01"
-let format_version = 1
+let format_version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Wire codec                                                          *)
@@ -239,9 +239,8 @@ let decode_rels payload =
   Wire.R.expect_end r;
   List.rev !rels
 
-let encode_comp (epoch, comps) =
+let encode_comp comps =
   let b = Wire.W.create () in
-  Wire.W.i64 b epoch;
   Wire.W.u32 b (List.length comps);
   List.iter
     (fun (name, spec) ->
@@ -252,7 +251,6 @@ let encode_comp (epoch, comps) =
 
 let decode_comp payload =
   let r = Wire.R.of_string payload in
-  let epoch = Wire.R.i64 r in
   let count = Wire.R.u32 r in
   let comps = ref [] in
   for _ = 1 to count do
@@ -261,7 +259,7 @@ let decode_comp payload =
     comps := (name, spec) :: !comps
   done;
   Wire.R.expect_end r;
-  (epoch, List.rev !comps)
+  List.rev !comps
 
 let encode_cach () =
   let b = Wire.W.create () in
@@ -277,7 +275,6 @@ let encode_cach () =
         (fun (e : Cache.Store.dumped_entry) ->
           Wire.W.i64 b e.d_fp;
           Wire.W.str b e.d_repr;
-          Wire.W.i64 b e.d_epoch;
           Wire.W.str b e.d_value)
         d.d_entries)
     dumps;
@@ -297,9 +294,8 @@ let decode_cach payload =
     for _ = 1 to n do
       let d_fp = Wire.R.i64 r in
       let d_repr = Wire.R.str r in
-      let d_epoch = Wire.R.i64 r in
       let d_value = Wire.R.str r in
-      entries := { Cache.Store.d_fp; d_repr; d_epoch; d_value } :: !entries
+      entries := { Cache.Store.d_fp; d_repr; d_value } :: !entries
     done;
     if abi_sensitive && not (String.equal file_abi self_abi) then
       (* written by a different binary: Marshal bytes must not even be
@@ -342,7 +338,7 @@ type info = {
 type contents = {
   c_symtab : int;
   c_relations : (string * Relational.Relation.t) list;
-  c_components : (int * (string * string) list) option;
+  c_components : (string * string) list option;
   c_caches : (string * int) list;
   c_caches_skipped : string list;
 }

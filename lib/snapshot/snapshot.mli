@@ -5,17 +5,20 @@
     A snapshot persists the state every process start otherwise rebuilds
     from text — the global {!Relational.Value} interner (SYMS section),
     relation contents as packed id arrays (RELS), a session's component
-    registry with its epoch (COMP), and the persistable cache stores
-    (CACH).  The format is length-prefixed, little-endian, hand-rolled
-    (no [Marshal] in the core sections) and digest-verified per section;
-    loading a truncated, corrupted or version-skewed file returns
-    [Error], never raises, and never half-applies. *)
+    registry (COMP), and the persistable cache stores (CACH).  The format
+    is length-prefixed, little-endian, hand-rolled (no [Marshal] in the
+    core sections) and digest-verified per section; loading a truncated,
+    corrupted or version-skewed file returns [Error], never raises, and
+    never half-applies. *)
 
 (** Raised internally by the codec; [save]/[load] catch it and surface
     [Error].  Exposed so tests can pattern-match wire-level failures. *)
 exception Corrupt of string
 
 val format_version : int
+(** [2]: COMP holds the component registry alone and a CACH entry is
+    (fingerprint, repr, value).  A file of any other version is refused
+    at [load], so a daemon given one starts cold. *)
 
 (** Low-level codec, exposed for property tests. *)
 module Wire : sig
@@ -59,8 +62,8 @@ type info = {
 type contents = {
   c_symtab : int;  (** interned values restored/verified *)
   c_relations : (string * Relational.Relation.t) list;
-  c_components : (int * (string * string) list) option;
-      (** session epoch and [(name, spec)] component registry *)
+  c_components : (string * string) list option;
+      (** the [(name, spec)] component registry, in registration order *)
   c_caches : (string * int) list;  (** persistence tag -> entries restored *)
   c_caches_skipped : string list;
       (** tags dropped: abi-sensitive bytes from another binary, or no
@@ -69,7 +72,7 @@ type contents = {
 
 val save :
   ?relations:(string * Relational.Relation.t) list ->
-  ?components:int * (string * string) list ->
+  ?components:(string * string) list ->
   ?caches:bool ->
   path:string ->
   unit ->

@@ -1,11 +1,12 @@
 (* The process-lifetime cache (lib/cache plus the Engine.Memo plumbing):
-   exact-key store semantics, LRU and byte caps, epoch invalidation, the
-   budget-monotonicity rule for scan outcomes (a budget trip is never
-   cached; a decisive answer found under a small budget serves any larger
-   request and never a smaller one), cache-on = cache-off on randomized
-   workloads, jobs-1 = jobs-4 byte identity with the caches live, and the
-   server reply caches — L1 raw-request keyed by registry epoch, L2
-   resolved content shared across sessions — against randomized
+   exact-key store semantics, LRU and byte caps, the budget-monotonicity
+   rule for scan outcomes (a budget trip is never cached; a decisive
+   answer found under a small budget serves any larger request and never
+   a smaller one), vector DFAs as plain entries bounded by their class's
+   caps, cache-on = cache-off on randomized workloads, jobs-1 = jobs-4
+   byte identity with the caches live, and the server reply caches — L1
+   raw requests served only at the registry epoch they were computed at,
+   L2 resolved content shared across sessions — against randomized
    register/unregister/re-register interleavings. *)
 
 module R = Relational
@@ -83,18 +84,6 @@ let test_store_byte_cap () =
   check "byte cap evicts" true (Str_store.length s < 4);
   let g = Str_store.gauges s in
   check "resident bytes within cap" true (g.G.bytes <= 64)
-
-let test_store_epoch () =
-  let s = Int_store.create ~cls:"test_epoch" () in
-  let key = Cache.Store.Key.of_parts [ "e" ] in
-  Int_store.add ~epoch:3 s key 42;
-  check "same epoch serves" true (Int_store.find ~epoch:3 s key = Some 42);
-  check "another epoch invalidates" true (Int_store.find ~epoch:4 s key = None);
-  check "the stale entry is gone" true (Int_store.find ~epoch:3 s key = None);
-  let g = Int_store.gauges s in
-  check_int "one invalidation" 1 g.G.invalidations;
-  Int_store.add ~epoch:7 s key 43;
-  check "epoch-less lookup ignores stamps" true (Int_store.find s key = Some 43)
 
 let test_registry_caps () =
   let s = Int_store.create ~max_entries:10 ~cls:"test_caps" () in
@@ -288,28 +277,54 @@ let test_content_sharing () =
   check "content-equal service is a hit" true (d.G.hits >= 1);
   check "and the served answer matches" true (r1 = r2)
 
+let automata_gauges () =
+  Option.value ~default:G.zero
+    (List.assoc_opt "automata" (Cache.Store.snapshot ()))
+
 let test_automata_bytes_weighed () =
-  (* a slot record is re-weighed when its vector DFA fills, so the
-     class's byte gauge sees the automaton, not the flat 1024 B per record
-     the store once charged *)
+  (* the vector DFA is weighed when it is added, so the class's byte
+     gauge sees the automaton, not the flat 1024 B per entry the store
+     once charged *)
   Engine.cache_clear_all ();
   let sws =
     Reductions.sws_of_afa
       (Afa.of_nfa (Nfa.of_regex ~alphabet_size:2 (Regex.parse "(a|b)*a(a|b)")))
   in
-  let automata () =
-    Option.value ~default:G.zero
-      (List.assoc_opt "automata" (Cache.Store.snapshot ()))
-  in
-  check_int "one chain record" 1 (automata ()).G.entries;
+  check_int "no entry before the first read" 0 (automata_gauges ()).G.entries;
   let flat = 1024 + 64 + String.length (Sws_pl.canonical_repr sws) in
   ignore (Sws_pl.vector_dfa sws);
-  let filled = automata () in
-  check_int "still one chain record" 1 filled.G.entries;
+  let filled = automata_gauges () in
+  check_int "one entry after it" 1 filled.G.entries;
   check "byte gauge exceeds the flat estimate" true (filled.G.bytes > flat);
-  (* clearing the slots gives the bytes back *)
+  (* clearing the service's entry gives the bytes back *)
   Sws_pl.clear_cache sws;
-  check "cleared record is light again" true ((automata ()).G.bytes < flat)
+  let cleared = automata_gauges () in
+  check_int "cleared" 0 cleared.G.entries;
+  check_int "bytes given back" 0 cleared.G.bytes
+
+(* The class's caps bound what services can reach: a vector DFA evicted
+   from the store is not served from the service value that built it. *)
+let test_automata_cap_is_a_bound () =
+  Engine.cache_clear_all ();
+  let mk re =
+    Reductions.sws_of_afa
+      (Afa.of_nfa (Nfa.of_regex ~alphabet_size:2 (Regex.parse re)))
+  in
+  let s1 = mk "(a|b)*a(a|b)" and s2 = mk "(ab)*b" in
+  Engine.cache_set_caps ~max_entries:1 ();
+  Fun.protect
+    ~finally:(fun () -> Engine.cache_set_caps ~max_entries:4096 ())
+    (fun () ->
+      let before = automata_gauges () in
+      let d1 = Sws_pl.vector_dfa s1 in
+      ignore (Sws_pl.vector_dfa s2);
+      let d1' = Sws_pl.vector_dfa s1 in
+      let d = G.delta ~before (automata_gauges ()) in
+      check_int "the third read misses too" 3 d.G.misses;
+      check_int "no read is a hit" 0 d.G.hits;
+      check_int "the class holds one entry" 1 d.G.entries;
+      check "the rebuilt DFA is the same automaton" true
+        (Automata.Dfa.num_states d1 = Automata.Dfa.num_states d1'))
 
 (* ------------------------------------------------------------------ *)
 (* Cache-on = cache-off, and jobs-1 = jobs-4, on random workloads        *)
@@ -504,7 +519,45 @@ let test_epoch_invalidation () =
           check_string "unregistered" "ok" (status u);
           let r4 = compose () in
           check "unregister invalidates as well" true (meta_source r4 <> "l1");
-          check_string "the reference now dangles" "error" (status r4)))
+          check_string "the reference now dangles" "error" (status r4));
+      (* a stale reply is a miss that the recompute overwrites: across
+         re-registers, the request keeps one L1 entry *)
+      Engine.cache_clear_all ();
+      with_client addr (fun c ->
+          let reg () =
+            response_exn
+              (Server.Client.call c ~meth:"register"
+                 ~params:[ ("name", J.String "w"); ("spec", J.String "a(b|a)") ])
+          in
+          let l1 () =
+            Option.value ~default:G.zero
+              (List.assoc_opt "server_l1" (Engine.cache_snapshot ()))
+          in
+          let read () =
+            let before = l1 () in
+            let r =
+              response_exn
+                (Server.Client.call c ~meth:"check"
+                   ~params:[ ("service", J.Obj [ ("ref", J.String "w") ]) ])
+            in
+            check_string "check ok" "ok" (status r);
+            G.delta ~before (l1 ())
+          in
+          for k = 1 to 4 do
+            check_string "re-registered" "ok" (status (reg ()));
+            let after_bump = read () in
+            check_int (Printf.sprintf "bump %d: one L1 miss" k) 1
+              after_bump.G.misses;
+            check_int (Printf.sprintf "bump %d: no L1 hit" k) 0
+              after_bump.G.hits;
+            check_int (Printf.sprintf "bump %d: one L1 entry" k) 1
+              after_bump.G.entries;
+            let again = read () in
+            check_int (Printf.sprintf "bump %d: the repeat hits L1" k) 1
+              again.G.hits;
+            check_int (Printf.sprintf "bump %d: still one L1 entry" k) 1
+              again.G.entries
+          done))
 
 let test_cache_method () =
   with_server (fun addr ->
@@ -623,8 +676,9 @@ let suite =
     Alcotest.test_case "Key.of_parts is injective" `Quick test_key_of_parts;
     Alcotest.test_case "LRU order, caps and gauges" `Quick test_store_lru;
     Alcotest.test_case "byte cap evicts" `Quick test_store_byte_cap;
-    Alcotest.test_case "epoch invalidation" `Quick test_store_epoch;
     Alcotest.test_case "registry-wide re-capping" `Quick test_registry_caps;
+    Alcotest.test_case "automata class cap bounds vector DFAs" `Quick
+      test_automata_cap_is_a_bound;
     Alcotest.test_case "8-domain store stress" `Quick test_store_domain_stress;
     Alcotest.test_case "a budget trip is never cached" `Quick
       test_exhausted_never_cached;

@@ -73,7 +73,16 @@ let test_meter () =
   | Ok () -> Alcotest.fail "3 nodes must exhaust a 3-node budget");
   check "ticks mirrored into stats" true
     (Engine.Stats.nodes_expanded stats >= 3);
+  check "no deadline, no remaining time" true
+    (Engine.Meter.remaining_s m = None);
+  let m = Engine.Meter.create ~stats (Engine.Budget.of_seconds 30.) in
+  check "remaining time is within the deadline" true
+    (match Engine.Meter.remaining_s m with
+    | Some r -> r > 0. && r <= 30.
+    | None -> false);
   let m = Engine.Meter.create ~stats (Engine.Budget.of_seconds 0.0) in
+  check "a passed deadline leaves no time" true
+    (match Engine.Meter.remaining_s m with Some r -> r <= 0. | None -> false);
   check "zero deadline trips" true
     (match Engine.Meter.check m ~depth:0 with
     | Error e -> e.Engine.limit = `Deadline

@@ -358,7 +358,7 @@ let test_old_l2_keys_never_served () =
   let entry parts payload =
     let k = Cache.Store.Key.of_parts parts in
     { Cache.Store.d_fp = k.Cache.Store.Key.fp; d_repr = k.Cache.Store.Key.repr;
-      d_epoch = 0; d_value = J.to_string payload }
+      d_value = J.to_string payload }
   in
   let restored =
     Cache.Store.restore_persistable
@@ -396,6 +396,66 @@ let test_old_l2_keys_never_served () =
           check "the empty session distinguishes" true
             (Option.bind (J.member "result" r) (J.member "distinguishing_len")
             = Some (J.Int 2))))
+
+(* ------------------------------------------------------------------ *)
+(* Warm restart: the snapshot's component registry seeds new sessions   *)
+(* ------------------------------------------------------------------ *)
+
+let meta_source r =
+  match
+    Option.bind (J.member "meta" r) (fun m ->
+        Option.bind (J.member "cache" m) (J.member "source"))
+  with
+  | Some (J.String s) -> s
+  | _ -> "absent"
+
+(* A session registers [w0], checks it by reference and snapshots.  A
+   restarted daemon's fresh session is seeded with [w0], so the same
+   request answers byte-identically from the restored L2; re-registering
+   [w0] under another spec recomputes it. *)
+let test_comp_seeding () =
+  let path = Filename.temp_file "swsd-test-comp" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let configure c = { c with Server.Daemon.snapshot = Some path } in
+  let call c meth params =
+    response_exn (Server.Client.call ~want_meta:true c ~meth ~params)
+  in
+  let check_w0 c =
+    call c "check" [ ("service", J.Obj [ ("ref", J.String "w0") ]) ]
+  in
+  Sys.remove path;
+  Sws.Engine.cache_clear_all ();
+  let first =
+    with_server ~configure (fun addr ->
+        with_client addr (fun c ->
+            check_string "registered" "ok"
+              (status
+                 (call c "register"
+                    [ ("name", J.String "w0"); ("spec", J.String "(ab)+c") ]));
+            let r = check_w0 c in
+            check_string "computed" "miss" (meta_source r);
+            check_string "snapshot taken" "ok" (status (call c "snapshot" []));
+            r))
+  in
+  Sws.Engine.cache_clear_all ();
+  with_server ~configure (fun addr ->
+      with_client addr (fun c ->
+          let r = check_w0 c in
+          check_string "the seeded reference resolves" "ok" (status r);
+          check_string "served from the restored L2" "l2" (meta_source r);
+          check_string "byte-identical answer"
+            (J.to_string (Option.get (J.member "result" first)))
+            (J.to_string (Option.get (J.member "result" r)));
+          check_string "re-registered" "ok"
+            (status
+               (call c "register"
+                  [ ("name", J.String "w0"); ("spec", J.String "(ba)+cc") ]));
+          let r' = check_w0 c in
+          check_string "the new spec is recomputed" "miss" (meta_source r');
+          check "and answers differently" true
+            (J.member "result" r' <> J.member "result" r)))
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent sessions                                                 *)
@@ -445,6 +505,7 @@ let suite =
     ("budget trips are structured", `Quick, test_budget_trips);
     ("responses identical across jobs", `Quick, test_deterministic_across_jobs);
     ("old reply-cache keys are never served", `Quick, test_old_l2_keys_never_served);
+    ("a snapshot's components seed restarted sessions", `Quick, test_comp_seeding);
     ("concurrent sessions", `Quick, test_concurrent_sessions);
     ("close method", `Quick, test_close_method);
   ]

@@ -163,12 +163,10 @@ let prop_relation_file_roundtrip =
 let test_components_roundtrip () =
   with_temp (fun path ->
       let comps = [ ("v1", "ab"); ("v2", "(ab)*|ba") ] in
-      ignore (save_ok ~components:(5, comps) ~caches:false path);
+      ignore (save_ok ~components:comps ~caches:false path);
       let _, c = load_ok path in
       match c.Snapshot.c_components with
-      | Some (epoch, got) ->
-        check_int "epoch round-trips" 5 epoch;
-        check "components round-trip in order" true (got = comps)
+      | Some got -> check "components round-trip in order" true (got = comps)
       | None -> Alcotest.fail "COMP section missing after load")
 
 (* ------------------------------------------------------------------ *)
@@ -194,7 +192,7 @@ let valid_snapshot_bytes () =
             R.Tuple.of_list [ R.Value.int 2; R.Value.str "sb" ];
           ]
       in
-      ignore (save_ok ~relations:[ ("r", rel) ] ~components:(1, [ ("v", "ab") ]) path);
+      ignore (save_ok ~relations:[ ("r", rel) ] ~components:[ ("v", "ab") ] path);
       read_file path)
 
 let expect_load_error what path =
@@ -388,7 +386,7 @@ let suite =
       test_id_stability;
     QCheck_alcotest.to_alcotest prop_packed_roundtrip;
     QCheck_alcotest.to_alcotest prop_relation_file_roundtrip;
-    Alcotest.test_case "components and epoch round-trip" `Quick
+    Alcotest.test_case "components round-trip" `Quick
       test_components_roundtrip;
     Alcotest.test_case "truncated files are rejected" `Quick
       test_reject_truncated;
