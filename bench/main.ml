@@ -171,7 +171,7 @@ module Report = struct
               Option.map
                 (fun r -> (layer ^ "_cache_hit_rate", Float r))
                 (hit_rate cs layer))
-            [ "unfold"; "automata" ]
+            [ "unfold" ]
         in
         [ ("repeats", Int p.repeats);
           ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) cs)) ]
@@ -643,19 +643,17 @@ let line_graph_db n =
     (List.init n Fun.id)
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: engine caches (incremental unfolding + automata chain)     *)
+(* Ablation: engine caches (incremental unfolding)                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The shared-kernel caches, measured on the workloads they were built
-   for.  (a) Iterative deepening over a binary-tree service: depth-n
+(* The unfolding memo, measured on the workload it was built for:
+   iterative deepening over a binary-tree service, where depth-n
    re-derives every depth-(n-1) subtree, and the twin successors make the
-   uncached tree exponential while the memo store collapses it.  (b) The
-   repeated-determinization workload of pl_validation / pl_equivalence:
-   uncached, every call rebuilds the service's vector DFA.
-   Both are toggled with [Engine.set_caching], same code path otherwise;
-   the stats counters confirm the hits are real. *)
+   uncached tree exponential while the memo store collapses it.  Toggled
+   with [Engine.set_caching], same code path otherwise; the stats
+   counters confirm the hits are real. *)
 let engine_cache_ablation () =
-  header "Ablation: engine caches — incremental unfolding and automata memoization";
+  header "Ablation: engine caches — incremental unfolding";
   let deepen sws d () =
     Unfold.clear_caches ();
     for n = 1 to d + 1 do
@@ -681,47 +679,7 @@ let engine_cache_ablation () =
         d (d + 1) cached uncached (uncached /. cached)
         (Engine.Stats.unfold_cache_hits stats)
         (Engine.Stats.unfold_cache_misses stats))
-    unfold_depths;
-  (* Since the process-lifetime store (§4h) sits above the per-structure
-     vector-DFA slot, the prep clears both: otherwise the decision-class
-     memo answers every call after the first and the row would measure
-     that store, not the slot.  As is, round 1 rebuilds the vector DFA and
-     shares it across validation/equivalence; rounds 2–3 hit the decision
-     memo. *)
-  let redeterminize sws () =
-    Sws_pl.clear_cache sws;
-    Engine.cache_clear_all ();
-    for _ = 1 to 3 do
-      ignore (Decision.pl_validation sws ~output:false);
-      ignore (Decision.pl_equivalence sws sws)
-    done
-  in
-  let automata_ks = if quick then [ 8 ] else [ 8; 10; 12 ] in
-  List.iter
-    (fun k ->
-      let sws = Reductions.sws_of_afa (Afa.of_nfa (kth_from_end_nfa k)) in
-      Engine.set_caching true;
-      let cached = measure (redeterminize sws) in
-      Engine.set_caching false;
-      let uncached = measure (redeterminize sws) in
-      Engine.set_caching true;
-      let stats = Engine.Stats.create () in
-      Sws_pl.clear_cache sws;
-      redeterminize sws ();
-      ignore stats;
-      let stats = Engine.Stats.create () in
-      Sws_pl.clear_cache sws;
-      Engine.cache_clear_all ();
-      for _ = 1 to 3 do
-        ignore (Decision.pl_validation ~stats sws ~output:false);
-        ignore (Decision.pl_equivalence ~stats sws sws)
-      done;
-      row
-        "automata chain, k = %2d (3x valid.+equiv.): cached %8.3f ms vs uncached %8.3f ms — %5.1fx (%d hits / %d misses)"
-        k cached uncached (uncached /. cached)
-        (Engine.Stats.automata_cache_hits stats)
-        (Engine.Stats.automata_cache_misses stats))
-    automata_ks
+    unfold_depths
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: interned representation (DESIGN.md section 4e)             *)
@@ -973,7 +931,6 @@ let tracing_overhead () =
   let k = if quick then 8 else 10 in
   let sws = Reductions.sws_of_afa (Afa.of_nfa (kth_from_end_nfa k)) in
   let workload () =
-    Sws_pl.clear_cache sws;
     ignore (Decision.pl_validation sws ~output:false);
     ignore (Decision.pl_non_emptiness sws)
   in

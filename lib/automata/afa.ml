@@ -88,12 +88,11 @@ let accepts a word =
    (encoded as the bit set of true AFA states), the start vector marks the
    finals, and reading symbol [s] rewrites vector v to
    q |-> delta(q, s) evaluated under v.  It accepts rev(w) iff the AFA
-   accepts w.  Only reachable vectors are materialized; the reachable-vector
-   table is a hash table over packed bit sets — this lookup dominates the
-   PSPACE-style exploration of Theorem 4.1(3). *)
-let reverse_vector_dfa a =
+   accepts w.  Only the vectors a search reaches are materialized, and a
+   vector's successors only when the search expands it: the on-the-fly
+   exploration of Theorem 4.1(3). *)
+let explore a =
   let module Bs = Repr.Bitset in
-  let module H = Hashtbl.Make (Repr.Bitset) in
   (* Per symbol, only the cells that can be true: a constant-false cell
      never sets its state's bit.  The vector being stepped is unpacked
      once into [vec], which every cell's condition reads. *)
@@ -106,51 +105,31 @@ let reverse_vector_dfa a =
   let vec = Array.make a.num_states false in
   let truth q = vec.(q) in
   let acc = Bs.acc_create ~capacity:a.num_states () in
-  let step s =
-    Array.iter (fun (q, f) -> if eval_form truth f then Bs.acc_add acc q) cols.(s);
-    Bs.acc_finish acc
-  in
-  let start_set = Bs.of_list (Iset.elements a.finals) in
-  let ids = H.create 256 in
-  H.replace ids start_set 0;
-  let next_id = ref 1 in
-  let rows = ref [] in
-  let finals = ref [] in
-  let queue = Queue.create () in
-  Queue.add (start_set, 0) queue;
-  while not (Queue.is_empty queue) do
-    let set, i = Queue.pop queue in
-    if Bs.mem a.start set then finals := i :: !finals;
+  let step set =
     Array.fill vec 0 a.num_states false;
     Bs.iter (fun q -> vec.(q) <- true) set;
-    let row =
-      Array.init a.alphabet_size (fun s ->
-          let set' = step s in
-          match H.find_opt ids set' with
-          | Some j -> j
-          | None ->
-            let j = !next_id in
-            incr next_id;
-            H.replace ids set' j;
-            Queue.add (set', j) queue;
-            j)
-    in
-    rows := (i, row) :: !rows
-  done;
-  let trans = Array.make !next_id [||] in
-  List.iter (fun (i, row) -> trans.(i) <- row) !rows;
-  Dfa.create ~alphabet_size:a.alphabet_size ~start:0 ~finals:!finals ~trans
+    Array.init a.alphabet_size (fun s ->
+        Array.iter
+          (fun (q, f) -> if eval_form truth f then Bs.acc_add acc q)
+          cols.(s);
+        Bs.acc_finish acc)
+  in
+  Dfa.Explorer.create ~alphabet_size:a.alphabet_size
+    ~start:(Bs.of_list (Iset.elements a.finals))
+    ~final:(Bs.mem a.start) ~step
+
+let reverse_vector_dfa a = Dfa.Explorer.force (explore a)
 
 let to_nfa a = Nfa.reverse (Dfa.to_nfa (reverse_vector_dfa a))
 
-(* Emptiness coincides with emptiness of the reverse vector DFA, so no
-   reversal or second subset construction is needed.  This is the PSPACE-style
-   on-the-fly check of Theorem 4.1(3): only reachable vectors are explored. *)
-let is_empty a = Dfa.is_empty (reverse_vector_dfa a)
-
-(* A shortest accepted word, as a witness. *)
+(* A shortest accepted word, as a witness: the reversal of the vector
+   DFA's, which explores only the vectors up to the first accepting one. *)
 let shortest_word a =
-  Option.map List.rev (Dfa.shortest_word (reverse_vector_dfa a))
+  Option.map List.rev (Dfa.Explorer.shortest_word (explore a))
+
+(* Emptiness coincides with emptiness of the reverse vector DFA, so no
+   reversal or second subset construction is needed. *)
+let is_empty a = Option.is_none (shortest_word a)
 
 (* Embed an NFA (without epsilon transitions beyond its closure) as an AFA:
    disjunction over successors. *)

@@ -30,7 +30,12 @@ val delta : t -> int -> int -> form
 (** Backward truth-vector evaluation: linear in [|w| * |delta|]. *)
 val accepts : t -> int list -> bool
 
-(** DFA of the reversed language over reachable truth vectors. *)
+(** The DFA of the reversed language over reachable truth vectors,
+    expanded on demand: a fresh explorer, private to the caller. *)
+val explore : t -> Dfa.Explorer.t
+
+(** {!explore}, forced: every reachable truth vector, ids in
+    breadth-first order. *)
 val reverse_vector_dfa : t -> Dfa.t
 
 val to_nfa : t -> Nfa.t
@@ -38,6 +43,7 @@ val to_nfa : t -> Nfa.t
 (** On-the-fly emptiness over reachable truth vectors. *)
 val is_empty : t -> bool
 
+(** A shortest accepted word, explored on the fly. *)
 val shortest_word : t -> int list option
 val of_nfa : Nfa.t -> t
 val pp_form : form Fmt.t

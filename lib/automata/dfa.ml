@@ -3,6 +3,7 @@
    and the normal form behind the PL equivalence procedure. *)
 
 module Iset = Set.Make (Int)
+module Itbl = Hashtbl.Make (Int)
 
 type t = {
   alphabet_size : int;
@@ -95,37 +96,198 @@ let is_empty d =
   let reach = reachable_states d in
   not (Iset.exists (fun q -> reach.(q)) d.finals)
 
-(* Shortest accepted word via BFS, as a witness for non-emptiness. *)
-let shortest_word d =
-  let n = num_states d in
-  let pred = Array.make n None in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  seen.(d.start) <- true;
-  Queue.add d.start queue;
-  let found = ref None in
-  while !found = None && not (Queue.is_empty queue) do
-    let q = Queue.pop queue in
-    if is_final d q then found := Some q
-    else
-      for a = 0 to d.alphabet_size - 1 do
-        let q' = delta d q a in
-        if not seen.(q') then begin
-          seen.(q') <- true;
-          pred.(q') <- Some (q, a);
-          Queue.add q' queue
-        end
-      done
-  done;
-  match !found with
-  | None -> None
-  | Some q ->
-    let rec back q acc =
-      match pred.(q) with
-      | None -> acc
-      | Some (p, a) -> back p (a :: acc)
+(* A DFA expanded on demand.  A state gets its id and its finality when
+   it is first discovered, its row only when a search asks for it: the
+   producer's [expand] computes the row, discovering successors through
+   [discover].  An eager [t] is the explorer whose rows are all there. *)
+module Explorer = struct
+  type dfa = t
+
+  let create_dfa = create
+
+  type t = {
+    alphabet_size : int;
+    start : int;
+    mutable final : bool array; (* by id, the first [size] cells *)
+    mutable rows : int array array; (* by id; [||] until expanded *)
+    mutable size : int;
+    mutable computed : int;
+    expand : t -> int -> int array;
+  }
+
+  let unexpanded : int array = [||]
+
+  (* [a] doubled, the new cells [fill] *)
+  let grow a fill = Array.append a (Array.make (Array.length a) fill)
+
+  let discover x ~final =
+    let i = x.size in
+    if i = Array.length x.rows then begin
+      x.rows <- grow x.rows unexpanded;
+      x.final <- grow x.final false
+    end;
+    x.final.(i) <- final;
+    x.size <- i + 1;
+    i
+
+  let row x i =
+    let r = x.rows.(i) in
+    if r != unexpanded then r
+    else begin
+      let r = x.expand x i in
+      x.rows.(i) <- r;
+      x.computed <- x.computed + 1;
+      r
+    end
+
+  let is_final x i = x.final.(i)
+  let rows_computed x = x.computed
+
+  let create ~alphabet_size ~start ~final ~step =
+    let module H = Hashtbl.Make (Repr.Bitset) in
+    let ids = H.create 256 in
+    let keys = ref (Array.make 64 start) in
+    let id x key =
+      match H.find_opt ids key with
+      | Some j -> j
+      | None ->
+        let j = discover x ~final:(final key) in
+        if j = Array.length !keys then keys := grow !keys start;
+        !keys.(j) <- key;
+        H.replace ids key j;
+        j
     in
-    Some (back q [])
+    let x =
+      {
+        alphabet_size;
+        start = 0;
+        final = Array.make 64 false;
+        rows = Array.make 64 unexpanded;
+        size = 0;
+        computed = 0;
+        expand =
+          (fun x i ->
+            let succs = step !keys.(i) in
+            Array.init alphabet_size (fun a -> id x succs.(a)));
+      }
+    in
+    ignore (id x start);
+    x
+
+  let of_dfa (d : dfa) =
+    let n = Array.length d.trans in
+    {
+      alphabet_size = d.alphabet_size;
+      start = d.start;
+      final = Array.init n (fun q -> Iset.mem q d.finals);
+      rows = d.trans;
+      size = n;
+      computed = 0;
+      expand = (fun _ i -> d.trans.(i));
+    }
+
+  (* Every row, in id order: a FIFO discovery, so the ids are those of a
+     breadth-first construction. *)
+  let force x : dfa =
+    let i = ref 0 in
+    while !i < x.size do
+      ignore (row x !i);
+      incr i
+    done;
+    let finals = List.filter (is_final x) (List.init x.size Fun.id) in
+    create_dfa ~alphabet_size:x.alphabet_size ~start:x.start ~finals
+      ~trans:(Array.sub x.rows 0 x.size)
+
+  (* Shortest accepted word by breadth-first search.  A state is tested
+     when it is discovered, so the level holding the witness is expanded
+     only up to it; the witness is the one a test at dequeue would give,
+     the first final state in discovery order. *)
+  let shortest_word x =
+    let k = x.alphabet_size in
+    (* pred.(q) = parent * k + symbol; -1 at the start, -2 unseen *)
+    let pred = ref (Array.make (max 64 x.size) (-2)) in
+    let rec word q acc =
+      match !pred.(q) with
+      | -1 -> acc
+      | code -> word (code / k) ((code mod k) :: acc)
+    in
+    let exception Found of int in
+    let queue = Queue.create () in
+    !pred.(x.start) <- -1;
+    Queue.add x.start queue;
+    if is_final x x.start then Some []
+    else
+      match
+        while not (Queue.is_empty queue) do
+          let q = Queue.pop queue in
+          let r = row x q in
+          while x.size > Array.length !pred do
+            pred := grow !pred (-2)
+          done;
+          for a = 0 to k - 1 do
+            let q' = r.(a) in
+            if !pred.(q') = -2 then begin
+              !pred.(q') <- (q * k) + a;
+              if is_final x q' then raise_notrace (Found q');
+              Queue.add q' queue
+            end
+          done
+        done
+      with
+      | () -> None
+      | exception Found q -> Some (word q [])
+
+  (* Hopcroft and Karp's pair search without the union-find: each pair is
+     expanded at most once, and the visited pairs sit in a hash table, so
+     memory tracks the pairs visited, not the n1 * n2 of a product
+     automaton.  A level's pairs expand in discovery order, symbols in
+     ascending order, so the witness does not depend on state ids.  A
+     pair's code packs both ids into one int (each below 2^31). *)
+  let distinguishing_word ?(on_level = ignore) ?(on_pair = ignore) x1 x2 =
+    if x1.alphabet_size <> x2.alphabet_size then
+      invalid_arg "Dfa.distinguishing_word: alphabet mismatch";
+    let code p q = (p lsl 31) lor q in
+    let mask = (1 lsl 31) - 1 in
+    let differ p q = is_final x1 p <> is_final x2 q in
+    (* parent pair code and symbol of each visited pair; -1 at the start *)
+    let parent = Itbl.create 64 in
+    let rec word c acc =
+      match Itbl.find parent c with
+      | -1, _ -> acc
+      | prev, a -> word prev (a :: acc)
+    in
+    let exception Found of int in
+    let rec expand depth frontier =
+      if frontier <> [] then begin
+        on_level depth;
+        let next = ref [] in
+        List.iter
+          (fun c ->
+            on_pair ();
+            let r1 = row x1 (c lsr 31) and r2 = row x2 (c land mask) in
+            for a = 0 to x1.alphabet_size - 1 do
+              let p' = r1.(a) and q' = r2.(a) in
+              let c' = code p' q' in
+              if not (Itbl.mem parent c') then begin
+                Itbl.add parent c' (c, a);
+                if differ p' q' then raise_notrace (Found c');
+                next := c' :: !next
+              end
+            done)
+          frontier;
+        expand (depth + 1) (List.rev !next)
+      end
+    in
+    let start = code x1.start x2.start in
+    Itbl.add parent start (-1, -1);
+    if differ x1.start x2.start then Some []
+    else
+      match expand 1 [ start ] with
+      | () -> None
+      | exception Found c -> Some (word c [])
+end
+
+let shortest_word d = Explorer.shortest_word (Explorer.of_dfa d)
 
 let contains d1 d2 = is_empty (diff d2 d1) (* L(d2) <= L(d1) *)
 
@@ -134,53 +296,9 @@ let contains_cex d1 d2 = shortest_word (diff d2 d1)
 
 let equivalent d1 d2 = is_empty (diff d1 d2) && is_empty (diff d2 d1)
 
-module Itbl = Hashtbl.Make (Int)
-
-(* Hopcroft and Karp's pair search without the union-find: each pair is
-   expanded at most once, and the visited pairs sit in a hash table, so
-   memory tracks the pairs visited, not the n1 * n2 of a product
-   automaton.  A level's pairs expand in discovery order, symbols in
-   ascending order, so the witness is deterministic. *)
-let distinguishing_word ?(on_level = ignore) ?(on_pair = ignore) d1 d2 =
-  if d1.alphabet_size <> d2.alphabet_size then
-    invalid_arg "Dfa.distinguishing_word: alphabet mismatch";
-  let n2 = num_states d2 in
-  let differ code = is_final d1 (code / n2) <> is_final d2 (code mod n2) in
-  (* parent pair code and symbol of each visited pair; -1 at the start *)
-  let parent = Itbl.create 64 in
-  let rec word code acc =
-    match Itbl.find parent code with
-    | -1, _ -> acc
-    | prev, a -> word prev (a :: acc)
-  in
-  let exception Found of int in
-  let rec expand depth frontier =
-    if frontier <> [] then begin
-      on_level depth;
-      let next = ref [] in
-      List.iter
-        (fun code ->
-          on_pair ();
-          let p = code / n2 and q = code mod n2 in
-          for a = 0 to d1.alphabet_size - 1 do
-            let code' = (delta d1 p a * n2) + delta d2 q a in
-            if not (Itbl.mem parent code') then begin
-              Itbl.add parent code' (code, a);
-              if differ code' then raise_notrace (Found code');
-              next := code' :: !next
-            end
-          done)
-        frontier;
-      expand (depth + 1) (List.rev !next)
-    end
-  in
-  let start = (d1.start * n2) + d2.start in
-  Itbl.add parent start (-1, -1);
-  if differ start then Some []
-  else
-    match expand 1 [ start ] with
-    | () -> None
-    | exception Found code -> Some (word code [])
+let distinguishing_word ?on_level ?on_pair d1 d2 =
+  Explorer.distinguishing_word ?on_level ?on_pair (Explorer.of_dfa d1)
+    (Explorer.of_dfa d2)
 
 (* Moore's partition-refinement minimization (restricted to reachable
    states).  Hopcroft would be asymptotically better; Moore is simple and

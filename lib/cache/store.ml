@@ -90,6 +90,7 @@ type registered = {
   r_gauges : unit -> Gauges.t;
   r_clear : unit -> unit;
   r_set_caps : ?max_entries:int -> ?max_bytes:int -> unit -> unit;
+  r_reset_caps : unit -> unit;
   r_tag : unit -> string option;
   r_dump : unit -> dumped_store option;
   r_restore : dumped_store -> int;
@@ -314,6 +315,7 @@ module Make (V : VALUE) = struct
         r_clear = (fun () -> clear t);
         r_set_caps = (fun ?max_entries ?max_bytes () ->
           set_caps ?max_entries ?max_bytes t ());
+        r_reset_caps = (fun () -> set_caps ~max_entries ~max_bytes t ());
         r_tag = (fun () -> persist_tag t);
         r_dump = (fun () -> dump t);
         r_restore = (fun d -> restore t d);
@@ -359,6 +361,8 @@ let clear_all () = List.iter (fun r -> r.r_clear ()) (registered ())
 
 let set_caps ?max_entries ?max_bytes () =
   List.iter (fun r -> r.r_set_caps ?max_entries ?max_bytes ()) (registered ())
+
+let reset_caps () = List.iter (fun r -> r.r_reset_caps ()) (registered ())
 
 (* --- registry-wide persistence --- *)
 

@@ -1,7 +1,7 @@
 (** Process-lifetime, domain-safe, bounded memo stores.
 
     One [Store] instance backs one cache class (["unfold"],
-    ["automata"], ["decision"], ...).  Every instance is an LRU over
+    ["decision"], ["server_l2"], ...).  Every instance is an LRU over
     exact canonical keys, capped both by entry count and by approximate
     resident bytes, and guarded by its own leaf mutex (see DESIGN.md
     §4h for the lock hierarchy: a store's mutex is acquired last and
@@ -167,6 +167,9 @@ val clear_all : unit -> unit
 val set_caps : ?max_entries:int -> ?max_bytes:int -> unit -> unit
 (** Re-cap every registered store, evicting immediately if the new caps
     are already exceeded.  Omitted caps are left unchanged. *)
+
+val reset_caps : unit -> unit
+(** Give every registered store back the caps it was created with. *)
 
 val dump_persistable : unit -> dumped_store list
 (** Dump every store with an installed codec, sorted by tag. *)

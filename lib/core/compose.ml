@@ -43,8 +43,8 @@ module Expand = Rewriting.Expand
 (* ------------------------------------------------------------------ *)
 
 (* The vector DFA recognizes the reversed language. *)
-let pl_language_nfa ?stats sws =
-  Nfa.reverse (Dfa.to_nfa (Sws_pl.vector_dfa ?stats sws))
+let pl_language_nfa sws =
+  Nfa.reverse (Dfa.to_nfa (Automata.Afa.reverse_vector_dfa (Sws_pl.to_afa sws)))
 
 (* Minimal-prefix language: words accepted with no accepted proper prefix.
    A component invoked by a mediator runs to completion and hands control
@@ -74,46 +74,65 @@ let minimal_prefix_nfa nfa =
    first k symbols.  On the minimal DFA: every state reachable by a word of
    length k must accept everything or nothing.  [k_prefix_bound] returns
    the least such k, or [None] when no k exists (some non-trivial state
-   recurs at unbounded depths). *)
+   recurs at unbounded depths).
+
+   In a minimal complete DFA a state accepts everything or nothing iff
+   each of its edges is a self-loop, so a word leaves the non-trivial
+   states for good.  Hence k = 0 when the start is trivial, otherwise
+   1 + the longest path from the start through non-trivial states, and no
+   k when such a path reaches a cycle.  One topological sort (Kahn) of the
+   reachable non-trivial states finds both: linear in the DFA. *)
 let k_prefix_bound dfa =
   let dfa = Dfa.minimize dfa in
-  let num = Dfa.num_states dfa in
+  let num = Dfa.num_states dfa and sigma = Dfa.alphabet_size dfa in
   let trivial =
     Array.init num (fun q ->
-        (* all states reachable from q share q's finality *)
-        let seen = Array.make num false in
-        let rec go p acc =
-          if seen.(p) then acc
-          else begin
+        let rec loops a = a = sigma || (Dfa.delta dfa q a = q && loops (a + 1)) in
+        loops 0)
+  in
+  let start = Dfa.start dfa in
+  if trivial.(start) then Some 0
+  else begin
+    (* in-degrees over the edges among reachable non-trivial states *)
+    let indeg = Array.make num 0 and seen = Array.make num false in
+    let reached = ref 1 and stack = ref [ start ] in
+    seen.(start) <- true;
+    while !stack <> [] do
+      let q = List.hd !stack in
+      stack := List.tl !stack;
+      for a = 0 to sigma - 1 do
+        let p = Dfa.delta dfa q a in
+        if not trivial.(p) then begin
+          indeg.(p) <- indeg.(p) + 1;
+          if not seen.(p) then begin
             seen.(p) <- true;
-            let acc = acc && Bool.equal (Dfa.is_final dfa p) (Dfa.is_final dfa q) in
-            if acc then
-              List.fold_left
-                (fun acc a -> go (Dfa.delta dfa p a) acc)
-                acc
-                (List.init (Dfa.alphabet_size dfa) Fun.id)
-            else false
+            incr reached;
+            stack := p :: !stack
           end
-        in
-        go q true)
-  in
-  let module Iset = Set.Make (Int) in
-  let rec scan frontier k =
-    if k > num then None
-    else if Iset.for_all (fun q -> trivial.(q)) frontier then Some k
-    else
-      let next =
-        Iset.fold
-          (fun q acc ->
-            List.fold_left
-              (fun acc a -> Iset.add (Dfa.delta dfa q a) acc)
-              acc
-              (List.init (Dfa.alphabet_size dfa) Fun.id))
-          frontier Iset.empty
-      in
-      scan next (k + 1)
-  in
-  scan (Iset.singleton (Dfa.start dfa)) 0
+        end
+      done
+    done;
+    (* longest path lengths in topological order; a state on or behind a
+       cycle never reaches in-degree 0 *)
+    let depth = Array.make num 0 in
+    let sorted = ref 0 and longest = ref 0 in
+    let queue = Queue.create () in
+    if indeg.(start) = 0 then Queue.add start queue;
+    while not (Queue.is_empty queue) do
+      let q = Queue.pop queue in
+      incr sorted;
+      longest := max !longest depth.(q);
+      for a = 0 to sigma - 1 do
+        let p = Dfa.delta dfa q a in
+        if not trivial.(p) then begin
+          depth.(p) <- max depth.(p) (depth.(q) + 1);
+          indeg.(p) <- indeg.(p) - 1;
+          if indeg.(p) = 0 then Queue.add p queue
+        end
+      done
+    done;
+    if !sorted < !reached then None else Some (1 + !longest)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* MDT(∨) synthesis via regular rewriting (Theorem 5.3(1, 2))            *)
@@ -493,8 +512,8 @@ let compose_mdtb ?stats ?(budget = Engine.Budget.of_depth 2) ~goal ~components
   search candidates
 
 let compose_mdtb_pl ?stats ?budget ~goal ~components () =
-  compose_mdtb ?stats ?budget ~goal:(pl_language_nfa ?stats goal)
-    ~components:(List.map (fun (n, c) -> (n, pl_language_nfa ?stats c)) components)
+  compose_mdtb ?stats ?budget ~goal:(pl_language_nfa goal)
+    ~components:(List.map (fun (n, c) -> (n, pl_language_nfa c)) components)
     ()
 
 (* ------------------------------------------------------------------ *)

@@ -14,9 +14,9 @@
       completeness. *)
 
 (** The language of a PL service: input sequences answered [true].
-    Derived on each call from the service's memoized vector DFA
-    ({!Sws_pl.vector_dfa}), by reversal. *)
-val pl_language_nfa : ?stats:Engine.Stats.t -> Sws_pl.t -> Automata.Nfa.t
+    Built on each call from the service's vector DFA
+    ([Afa.reverse_vector_dfa] of {!Sws_pl.to_afa}), by reversal. *)
+val pl_language_nfa : Sws_pl.t -> Automata.Nfa.t
 
 (** Words accepted with no accepted proper prefix: how a component invoked
     by a mediator consumes input ("stop at the first final state"). *)
@@ -24,7 +24,8 @@ val minimal_prefix_nfa : Automata.Nfa.t -> Automata.Nfa.t
 
 (** Least k such that membership is decided by the first k symbols
     (on the minimal DFA: depth-k states accept everything or nothing);
-    [None] when no such k exists.  Theorem 5.1(4, 5). *)
+    [None] when no such k exists.  Theorem 5.1(4, 5).  Linear in the
+    minimal DFA: one topological sort of its non-trivial states. *)
 val k_prefix_bound : Automata.Dfa.t -> int option
 
 (** The trailing core [{ w | w · Σ* ⊆ L }]: the rewriting target for PL

@@ -144,10 +144,15 @@ let run_equiv_outcome = function
   | Inequivalent _ -> Obs.Trace.Decided false
   | Equiv_exhausted e -> Obs.Trace.Tripped e.Engine.limit
 
+(* The service's vector DFA, expanded on demand: a fresh explorer per
+   question, so a search computes only the rows it reaches, inside its
+   own meter. *)
+let explore sws = Automata.Afa.explore (Sws_pl.to_afa sws)
+
 (* A shortest accepted sequence: [Afa.shortest_word] of the service's AFA,
-   read off the memoized vector DFA of its reversed language. *)
-let shortest_accepted ?stats sws =
-  match Dfa.shortest_word (Sws_pl.vector_dfa ?stats sws) with
+   read off its vector DFA. *)
+let shortest_accepted sws =
+  match Dfa.Explorer.shortest_word (explore sws) with
   | Some w -> Yes (decode_word sws (List.rev w))
   | None -> No
 
@@ -155,7 +160,7 @@ let shortest_accepted ?stats sws =
    reversal keeps equivalence and word lengths, so it is a shortest input
    sequence on which the services differ.  One meter tick per expanded
    state pair, one budget check per search level. *)
-let distinguishing_sequence ?stats budget sws d1 d2 =
+let distinguishing_sequence ?stats budget sws x1 x2 =
   let meter = Engine.Meter.create ?stats budget in
   let exception Tripped of Engine.exhausted in
   let on_level depth =
@@ -164,9 +169,9 @@ let distinguishing_sequence ?stats budget sws d1 d2 =
       (Engine.Meter.check meter ~depth)
   in
   match
-    Dfa.distinguishing_word ~on_level
+    Dfa.Explorer.distinguishing_word ~on_level
       ~on_pair:(fun () -> Engine.Meter.tick meter)
-      d1 d2
+      x1 x2
   with
   | w -> Ok (Option.map (fun w -> decode_word sws (List.rev w)) w)
   | exception Tripped e -> Error e
@@ -179,7 +184,7 @@ let pl_non_emptiness ?stats sws =
     ~outcome:run_outcome ~cacheable:cacheable_outcome
   @@ fun () ->
   Engine.run ?stats ~name:"pl_non_emptiness" ~outcome:run_outcome @@ fun () ->
-  shortest_accepted ?stats sws
+  shortest_accepted sws
 
 (* Validation: for the PL class the output is one truth value.  O = true
    coincides with non-emptiness (as the paper remarks); O = false asks for a
@@ -197,7 +202,7 @@ let pl_validation ?stats ?budget sws ~output =
     ~outcome:run_outcome ~cacheable:cacheable_outcome
   @@ fun () ->
   Engine.run ?stats ~name:"pl_validation" ~outcome:run_outcome @@ fun () ->
-  if output then shortest_accepted ?stats sws
+  if output then shortest_accepted sws
   else begin
     let k = Sws_pl.alphabet_size sws in
     let all_words =
@@ -205,9 +210,8 @@ let pl_validation ?stats ?budget sws ~output =
         ~trans:[| Array.make k 0 |]
     in
     match
-      distinguishing_sequence ?stats budget_v sws
-        (Sws_pl.vector_dfa ?stats sws)
-        all_words
+      distinguishing_sequence ?stats budget_v sws (explore sws)
+        (Dfa.Explorer.of_dfa all_words)
     with
     | Ok (Some w) -> Yes w
     | Ok None -> No
@@ -231,9 +235,7 @@ let pl_equivalence ?stats ?budget sws1 sws2 =
   Engine.run ?stats ~name:"pl_equivalence" ~outcome:run_equiv_outcome
   @@ fun () ->
   match
-    distinguishing_sequence ?stats budget_v sws1
-      (Sws_pl.vector_dfa ?stats sws1)
-      (Sws_pl.vector_dfa ?stats sws2)
+    distinguishing_sequence ?stats budget_v sws1 (explore sws1) (explore sws2)
   with
   | Ok None -> Equivalent
   | Ok (Some w) -> Inequivalent w

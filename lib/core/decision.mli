@@ -27,11 +27,13 @@ type 'c equiv_outcome =
 (** {1 SWS(PL, PL) — automata-based (pspace cells)}
 
     All three questions are answered by breadth-first search on each
-    service's memoized vector DFA ({!Sws_pl.vector_dfa}), so every
-    witness is a shortest one.  Validation with [output = false] and
-    equivalence respect [budget] ([max_nodes] meters expanded state
-    pairs, [max_depth] witness length, checked per search level),
-    reporting [Exhausted] when it trips.  Results are cached under the
+    service's vector DFA ([Afa.explore] of {!Sws_pl.to_afa}), so every
+    witness is a shortest one.  Each question explores a fresh vector
+    DFA on demand: only the truth vectors its search reaches get rows.
+    Validation with [output = false] and equivalence respect [budget]
+    ([max_nodes] meters expanded state pairs, [max_depth] witness
+    length, checked per search level, so the budget also bounds the
+    vector-DFA work), reporting [Exhausted] when it trips.  Results are cached under the
     budget-monotonicity rule. *)
 
 val pl_non_emptiness :

@@ -171,8 +171,6 @@ module Stats = struct
       mutable hom_checks : int;
       mutable unfold_cache_hits : int;
       mutable unfold_cache_misses : int;
-      mutable automata_cache_hits : int;
-      mutable automata_cache_misses : int;
       mutable phases : (string * float) list;  (* reversed first-use order *)
     }
 
@@ -183,8 +181,6 @@ module Stats = struct
         hom_checks = 0;
         unfold_cache_hits = 0;
         unfold_cache_misses = 0;
-        automata_cache_hits = 0;
-        automata_cache_misses = 0;
         phases = [];
       }
 
@@ -194,8 +190,6 @@ module Stats = struct
       c.hom_checks <- 0;
       c.unfold_cache_hits <- 0;
       c.unfold_cache_misses <- 0;
-      c.automata_cache_hits <- 0;
-      c.automata_cache_misses <- 0;
       c.phases <- []
   end
 
@@ -257,16 +251,6 @@ module Stats = struct
     c.Counters.unfold_cache_misses <- c.Counters.unfold_cache_misses + 1;
     Obs.Trace.emit (Obs.Trace.Cache { layer = "unfold"; hit = false })
 
-  let automata_hit t =
-    let c = my t in
-    c.Counters.automata_cache_hits <- c.Counters.automata_cache_hits + 1;
-    Obs.Trace.emit (Obs.Trace.Cache { layer = "automata"; hit = true })
-
-  let automata_miss t =
-    let c = my t in
-    c.Counters.automata_cache_misses <- c.Counters.automata_cache_misses + 1;
-    Obs.Trace.emit (Obs.Trace.Cache { layer = "automata"; hit = false })
-
   let bump_phase_list phases name dt =
     let rec bump = function
       | [] -> [ (name, dt) ]
@@ -292,10 +276,6 @@ module Stats = struct
   let hom_checks t = sum (fun c -> c.Counters.hom_checks) t
   let unfold_cache_hits t = sum (fun c -> c.Counters.unfold_cache_hits) t
   let unfold_cache_misses t = sum (fun c -> c.Counters.unfold_cache_misses) t
-  let automata_cache_hits t = sum (fun c -> c.Counters.automata_cache_hits) t
-
-  let automata_cache_misses t =
-    sum (fun c -> c.Counters.automata_cache_misses) t
 
   (* Phase buckets merged across shards in (shard creation, stored) order;
      with one shard the merged list IS that shard's list, so the reported
@@ -318,10 +298,6 @@ module Stats = struct
     c.Counters.unfold_cache_hits <- unfold_cache_hits a + unfold_cache_hits b;
     c.Counters.unfold_cache_misses <-
       unfold_cache_misses a + unfold_cache_misses b;
-    c.Counters.automata_cache_hits <-
-      automata_cache_hits a + automata_cache_hits b;
-    c.Counters.automata_cache_misses <-
-      automata_cache_misses a + automata_cache_misses b;
     List.iter (fun (n, dt) -> add_phase m n dt) (phases a);
     List.iter (fun (n, dt) -> add_phase m n dt) (phases b);
     m
@@ -337,8 +313,6 @@ module Stats = struct
       ("hom_checks", hom_checks t);
       ("unfold_cache_hits", unfold_cache_hits t);
       ("unfold_cache_misses", unfold_cache_misses t);
-      ("automata_cache_hits", automata_cache_hits t);
-      ("automata_cache_misses", automata_cache_misses t);
       ("interner_size", Relational.Value.interner_size ());
       ("bitset_allocs", Repr.Bitset.allocations ());
       ("lang_states_explored", Automata.Lang.states_explored_total ());
@@ -362,11 +336,9 @@ module Stats = struct
   let pp ppf t =
     Fmt.pf ppf
       "@[<v>nodes expanded:       %d@ sat calls:            %d@ \
-       containment checks:   %d@ unfold cache:         %d hits / %d misses@ \
-       automata cache:       %d hits / %d misses" (nodes_expanded t)
-      (sat_calls t) (hom_checks t) (unfold_cache_hits t)
-      (unfold_cache_misses t) (automata_cache_hits t)
-      (automata_cache_misses t);
+       containment checks:   %d@ unfold cache:         %d hits / %d misses"
+      (nodes_expanded t) (sat_calls t) (hom_checks t) (unfold_cache_hits t)
+      (unfold_cache_misses t);
     Fmt.pf ppf "@ interner size:       %d@ bitset allocations:   %d"
       (Relational.Value.interner_size ())
       (Repr.Bitset.allocations ());

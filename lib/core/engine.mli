@@ -113,8 +113,6 @@ module Stats : sig
   val hom_check : t -> unit
   val unfold_hit : t -> unit
   val unfold_miss : t -> unit
-  val automata_hit : t -> unit
-  val automata_miss : t -> unit
 
   (** [time t phase f] runs [f] and adds its wall-clock time (monotonic,
       via [Obs.Clock]) to [phase]'s bucket. *)
@@ -127,8 +125,6 @@ module Stats : sig
   val hom_checks : t -> int
   val unfold_cache_hits : t -> int
   val unfold_cache_misses : t -> int
-  val automata_cache_hits : t -> int
-  val automata_cache_misses : t -> int
 
   (** Accumulated wall-clock seconds per phase, in first-use order. *)
   val phases : t -> (string * float) list

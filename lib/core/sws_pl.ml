@@ -35,7 +35,6 @@ type t = {
   input_vars : string list;
   def : (query, query) Sws_def.t;
   repr : string; (* canonical content repr, see [canonical_repr] *)
-  key : Cache.Store.Key.t; (* its vector DFA's key in [dfas] *)
 }
 
 let next_stamp = ref 0
@@ -69,7 +68,6 @@ let make ~input_vars ~start ~rules =
       input_vars;
       def;
       repr;
-      key = Cache.Store.Key.of_string repr;
     }
   in
   let env_vars = msg_var :: input_vars in
@@ -313,45 +311,6 @@ let to_afa t =
       delta.((2 * i) + 1) <- rows msg_bit)
     states;
   Afa.create ~alphabet_size ~start:(2 * index start_name) ~finals:[] ~delta
-
-(* Vector DFAs, in the process-lifetime store (class "automata") keyed
-   on the service's content, so equal services built by different
-   requests or server sessions share one.  The AFA itself is transient:
-   it is built only to explore its reachable truth vectors, and its
-   formula trees (tens of KB per service) are dropped as soon as the
-   vector DFA exists.  Each entry is weighed as one int row per state. *)
-module Dfa_store = Cache.Store.Make (struct
-  type t = Automata.Dfa.t
-
-  let weight d =
-    Automata.Dfa.num_states d * (Automata.Dfa.alphabet_size d + 2)
-    * (Sys.word_size / 8)
-end)
-
-let dfas = Dfa_store.create ~max_entries:1024 ~cls:"automata" ()
-
-(* The memoized vector DFA.  Each uncached construction appears in traces
-   as one "vdfa_build" span and feeds its latency histogram.  Two domains
-   missing on the same service both build it and the later [add] wins;
-   the automata are equal. *)
-let vector_dfa ?(stats = Engine.Stats.global) t =
-  let build () =
-    Obs.Trace.span "vdfa_build" (fun () ->
-        Automata.Afa.reverse_vector_dfa (to_afa t))
-  in
-  if not (Engine.caching_enabled ()) then build ()
-  else
-    match Dfa_store.find dfas t.key with
-    | Some v ->
-      Engine.Stats.automata_hit stats;
-      v
-    | None ->
-      Engine.Stats.automata_miss stats;
-      let v = build () in
-      Dfa_store.add dfas t.key v;
-      v
-
-let clear_cache t = Dfa_store.remove dfas t.key
 
 (* ------------------------------------------------------------------ *)
 (* Nonrecursive unfolding to a single formula                          *)

@@ -39,7 +39,7 @@ val stamp : t -> int
     variables + definition), as an opaque byte string computed once by
     {!make}: equal services get equal representations whatever their
     stamps.  The cache keys of the decision/composition result stores
-    and of {!vector_dfa} are built from it (DESIGN.md §4h). *)
+    are built from it (DESIGN.md §4h). *)
 val canonical_repr : t -> string
 
 val def : t -> (query, query) Sws_def.t
@@ -80,27 +80,12 @@ val accepts_word : t -> int list -> bool
 (** The alternating automaton of the service's language (sequences with
     output true): states are (SWS state, message bit) pairs; see the
     implementation for the construction.  Drives the PSPACE procedures of
-    Theorem 4.1(3).  Built afresh on every call: only its vector DFA is
-    memoized. *)
+    Theorem 4.1(3): [Afa.explore] of it is the DFA of the reversed
+    language over reachable truth vectors, expanded on demand, on which
+    [Decision] answers all three SWS(PL, PL) questions (reversal keeps
+    word lengths and equivalence).  Built afresh on every call; nothing
+    derived from it is memoized. *)
 val to_afa : t -> Automata.Afa.t
-
-(** [Afa.reverse_vector_dfa] of {!to_afa}: the DFA of the reversed
-    language over reachable truth vectors.  [List.rev] of its
-    [Dfa.shortest_word] is [Afa.shortest_word (to_afa t)]; reversal
-    keeps word lengths and equivalence, so [Decision] answers all three
-    SWS(PL, PL) questions on it.
-
-    Memoized per service *content*: the DFA is an entry of the
-    process-lifetime store (cache class ["automata"]) keyed on
-    {!canonical_repr} and weighed when it is added, so equal services
-    built by different requests or server sessions share one vector DFA,
-    and an evicted DFA is rebuilt on the next read.  Bypassed entirely
-    under [Engine.set_caching false]; cache traffic is counted into
-    [stats] (default: the global sink). *)
-val vector_dfa : ?stats:Engine.Stats.t -> t -> Automata.Dfa.t
-
-(** Drop this service's memoized vector DFA from the store. *)
-val clear_cache : t -> unit
 
 (** {1 Nonrecursive unfolding} *)
 

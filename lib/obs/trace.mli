@@ -28,7 +28,7 @@ type event =
   | Depth_started of int  (** iterative deepening entered this depth *)
   | Candidate_expanded  (** one search node expanded ([Stats.node]) *)
   | Cache of { layer : string; hit : bool }
-      (** memo lookup in [layer] ("unfold", "automata", "index", ...) *)
+      (** memo lookup in [layer] ("unfold", "decision", "index", ...) *)
   | Sat_call  (** one satisfiability/emptiness oracle call *)
   | Hom_check  (** one homomorphism / containment check *)
   | Budget_tripped of limit  (** the meter stopped the run *)

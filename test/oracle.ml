@@ -74,3 +74,87 @@ let datalog_eval program edb =
     if grew then round db else db
   in
   round (R.Database.fold R.Database.set edb (R.Database.empty schema))
+
+module Dfa = Automata.Dfa
+module Afa = Automata.Afa
+
+(* The k-prefix bound by its definition: a state is trivial when every
+   state reachable from it shares its finality (one search per state),
+   and k is the first breadth-first level of the minimal DFA whose states
+   are all trivial, [None] past the state count. *)
+let k_prefix_bound dfa =
+  let dfa = Dfa.minimize dfa in
+  let num = Dfa.num_states dfa in
+  let trivial =
+    Array.init num (fun q ->
+        let seen = Array.make num false in
+        let rec go p acc =
+          if seen.(p) then acc
+          else begin
+            seen.(p) <- true;
+            let acc = acc && Bool.equal (Dfa.is_final dfa p) (Dfa.is_final dfa q) in
+            if acc then
+              List.fold_left
+                (fun acc a -> go (Dfa.delta dfa p a) acc)
+                acc
+                (List.init (Dfa.alphabet_size dfa) Fun.id)
+            else false
+          end
+        in
+        go q true)
+  in
+  let module Iset = Set.Make (Int) in
+  let rec scan frontier k =
+    if k > num then None
+    else if Iset.for_all (fun q -> trivial.(q)) frontier then Some k
+    else
+      let next =
+        Iset.fold
+          (fun q acc ->
+            List.fold_left
+              (fun acc a -> Iset.add (Dfa.delta dfa q a) acc)
+              acc
+              (List.init (Dfa.alphabet_size dfa) Fun.id))
+          frontier Iset.empty
+      in
+      scan next (k + 1)
+  in
+  scan (Iset.singleton (Dfa.start dfa)) 0
+
+(* The eager vector-DFA builder: a FIFO over truth vectors (sorted lists
+   of the true AFA states), each row computed as its vector is dequeued,
+   so ids follow breadth-first discovery.  Vector v steps on symbol s to
+   { q | delta(q, s) holds under v }; the start vector is the finals, and
+   a vector is final when it holds the AFA's start state. *)
+let reverse_vector_dfa a =
+  let n = Afa.num_states a and k = Afa.alphabet_size a in
+  let ids = Hashtbl.create 64 in
+  let start = Afa.finals a in
+  Hashtbl.replace ids start 0;
+  let rows = ref [] and finals = ref [] and next_id = ref 1 in
+  let queue = Queue.create () in
+  Queue.add (start, 0) queue;
+  while not (Queue.is_empty queue) do
+    let v, i = Queue.pop queue in
+    if List.mem (Afa.start a) v then finals := i :: !finals;
+    let row =
+      Array.init k (fun s ->
+          let v' =
+            List.filter
+              (fun q -> Afa.eval_form (fun p -> List.mem p v) (Afa.delta a q s))
+              (List.init n Fun.id)
+          in
+          match Hashtbl.find_opt ids v' with
+          | Some j -> j
+          | None ->
+            let j = !next_id in
+            incr next_id;
+            Hashtbl.replace ids v' j;
+            Queue.add (v', j) queue;
+            j)
+    in
+    rows := (i, row) :: !rows
+  done;
+  let trans = Array.make !next_id [||] in
+  List.iter (fun (i, row) -> trans.(i) <- row) !rows;
+  Dfa.create ~alphabet_size:k ~start:0 ~finals:!finals ~trans

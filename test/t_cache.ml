@@ -2,8 +2,8 @@
    exact-key store semantics, LRU and byte caps, the budget-monotonicity
    rule for scan outcomes (a budget trip is never cached; a decisive
    answer found under a small budget serves any larger request and never
-   a smaller one), vector DFAs as plain entries bounded by their class's
-   caps, cache-on = cache-off on randomized workloads, jobs-1 = jobs-4
+   a smaller one), per-store caps restored after a re-cap, cache-on =
+   cache-off on randomized workloads, jobs-1 = jobs-4
    byte identity with the caches live, and the server reply caches — L1
    raw requests served only at the registry epoch they were computed at,
    L2 resolved content shared across sessions — against randomized
@@ -91,11 +91,32 @@ let test_registry_caps () =
   List.iter (fun i -> Int_store.add s (key i) i) (List.init 10 Fun.id);
   Engine.cache_set_caps ~max_entries:4 ();
   Fun.protect
-    ~finally:(fun () -> Engine.cache_set_caps ~max_entries:4096 ())
+    ~finally:Cache.Store.reset_caps
     (fun () ->
       check "re-cap evicts immediately" true (Int_store.length s <= 4);
       check "class registered" true
         (List.mem "test_caps" (Cache.Store.classes ())))
+
+(* [reset_caps] gives each store the caps it was created with, not one
+   registry-wide value: after a test re-caps everything, later tests run
+   with the caps of a fresh process. *)
+let test_reset_caps () =
+  let small = Int_store.create ~max_entries:3 ~cls:"test_reset" () in
+  let large = Int_store.create ~max_entries:6 ~cls:"test_reset" () in
+  let bytes = Str_store.create ~max_entries:100 ~max_bytes:400 ~cls:"test_reset" () in
+  Engine.cache_set_caps ~max_entries:1 ~max_bytes:1 ();
+  Cache.Store.reset_caps ();
+  let key i = Cache.Store.Key.of_parts [ "r"; string_of_int i ] in
+  for i = 0 to 7 do
+    Int_store.add small (key i) i;
+    Int_store.add large (key i) i;
+    Str_store.add bytes (key i) (String.make 20 'x')
+  done;
+  check_int "the small store holds its own 3" 3 (Int_store.length small);
+  check_int "the large store holds its own 6" 6 (Int_store.length large);
+  check "the byte cap is back" true
+    (let g = Str_store.gauges bytes in
+     g.G.entries >= 3 && g.G.bytes <= 400)
 
 let test_store_domain_stress () =
   (* eight domains race adds and finds on one store; a lookup may miss
@@ -276,55 +297,6 @@ let test_content_sharing () =
   let d = decision_delta ~before in
   check "content-equal service is a hit" true (d.G.hits >= 1);
   check "and the served answer matches" true (r1 = r2)
-
-let automata_gauges () =
-  Option.value ~default:G.zero
-    (List.assoc_opt "automata" (Cache.Store.snapshot ()))
-
-let test_automata_bytes_weighed () =
-  (* the vector DFA is weighed when it is added, so the class's byte
-     gauge sees the automaton, not the flat 1024 B per entry the store
-     once charged *)
-  Engine.cache_clear_all ();
-  let sws =
-    Reductions.sws_of_afa
-      (Afa.of_nfa (Nfa.of_regex ~alphabet_size:2 (Regex.parse "(a|b)*a(a|b)")))
-  in
-  check_int "no entry before the first read" 0 (automata_gauges ()).G.entries;
-  let flat = 1024 + 64 + String.length (Sws_pl.canonical_repr sws) in
-  ignore (Sws_pl.vector_dfa sws);
-  let filled = automata_gauges () in
-  check_int "one entry after it" 1 filled.G.entries;
-  check "byte gauge exceeds the flat estimate" true (filled.G.bytes > flat);
-  (* clearing the service's entry gives the bytes back *)
-  Sws_pl.clear_cache sws;
-  let cleared = automata_gauges () in
-  check_int "cleared" 0 cleared.G.entries;
-  check_int "bytes given back" 0 cleared.G.bytes
-
-(* The class's caps bound what services can reach: a vector DFA evicted
-   from the store is not served from the service value that built it. *)
-let test_automata_cap_is_a_bound () =
-  Engine.cache_clear_all ();
-  let mk re =
-    Reductions.sws_of_afa
-      (Afa.of_nfa (Nfa.of_regex ~alphabet_size:2 (Regex.parse re)))
-  in
-  let s1 = mk "(a|b)*a(a|b)" and s2 = mk "(ab)*b" in
-  Engine.cache_set_caps ~max_entries:1 ();
-  Fun.protect
-    ~finally:(fun () -> Engine.cache_set_caps ~max_entries:4096 ())
-    (fun () ->
-      let before = automata_gauges () in
-      let d1 = Sws_pl.vector_dfa s1 in
-      ignore (Sws_pl.vector_dfa s2);
-      let d1' = Sws_pl.vector_dfa s1 in
-      let d = G.delta ~before (automata_gauges ()) in
-      check_int "the third read misses too" 3 d.G.misses;
-      check_int "no read is a hit" 0 d.G.hits;
-      check_int "the class holds one entry" 1 d.G.entries;
-      check "the rebuilt DFA is the same automaton" true
-        (Automata.Dfa.num_states d1 = Automata.Dfa.num_states d1'))
 
 (* ------------------------------------------------------------------ *)
 (* Cache-on = cache-off, and jobs-1 = jobs-4, on random workloads        *)
@@ -596,7 +568,7 @@ let test_cache_cap_config () =
     ~configure:(fun c -> { c with Server.Daemon.cache_cap = Some 2 })
     (fun addr ->
       Fun.protect
-        ~finally:(fun () -> Engine.cache_set_caps ~max_entries:4096 ())
+        ~finally:Cache.Store.reset_caps
         (fun () ->
           with_client addr (fun c ->
               List.iter
@@ -677,8 +649,8 @@ let suite =
     Alcotest.test_case "LRU order, caps and gauges" `Quick test_store_lru;
     Alcotest.test_case "byte cap evicts" `Quick test_store_byte_cap;
     Alcotest.test_case "registry-wide re-capping" `Quick test_registry_caps;
-    Alcotest.test_case "automata class cap bounds vector DFAs" `Quick
-      test_automata_cap_is_a_bound;
+    Alcotest.test_case "reset_caps restores each store's own caps" `Quick
+      test_reset_caps;
     Alcotest.test_case "8-domain store stress" `Quick test_store_domain_stress;
     Alcotest.test_case "a budget trip is never cached" `Quick
       test_exhausted_never_cached;
@@ -698,6 +670,4 @@ let suite =
     Alcotest.test_case "cache_cap config re-caps the stores" `Quick
       test_cache_cap_config;
     QCheck_alcotest.to_alcotest prop_interleavings;
-    Alcotest.test_case "automata records weighed by their stages" `Quick
-      test_automata_bytes_weighed;
   ]

@@ -33,6 +33,41 @@ let test_k_prefix_bound () =
   let dp = Dfa.of_nfa (nfa "a*(ba*ba*)*") in
   Alcotest.(check (option int)) "no k" None (Compose.k_prefix_bound dp)
 
+(* The linear bound against the definition (one search per state, then
+   breadth-first levels) on DFAs of random regexes over {a, b}: star-free
+   ones and ones ending in (a|b)* have a k, starred ones mostly not. *)
+let gen_kprefix_regex =
+  let module Re = Regex in
+  let open QCheck.Gen in
+  let rec gen ~stars n =
+    if n = 0 then frequency [ (4, map Re.sym (0 -- 1)); (1, return Re.Eps); (1, return Re.Empty) ]
+    else
+      let sub = gen ~stars (n - 1) in
+      frequency
+        ([ (2, map2 (fun a b -> Re.Alt (a, b)) sub sub);
+           (3, map2 (fun a b -> Re.Seq (a, b)) sub sub);
+           (1, gen ~stars 0) ]
+        @ if stars then [ (1, map Re.star sub) ] else [])
+  in
+  let sigma_star = Re.star (Re.Alt (Re.sym 0, Re.sym 1)) in
+  sized_size (0 -- 4) (fun n ->
+      oneof
+        [
+          gen ~stars:true n;
+          gen ~stars:false n;
+          map (fun r -> Re.Seq (r, sigma_star)) (gen ~stars:false n);
+          map2
+            (fun r w -> Re.Alt (r, Re.Seq (w, sigma_star)))
+            (gen ~stars:false n) (gen ~stars:false n);
+        ])
+
+let prop_k_prefix_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"linear k-prefix bound = per-state oracle"
+    (QCheck.make ~print:(Fmt.str "%a" Regex.pp) gen_kprefix_regex)
+    (fun r ->
+      let dfa = Dfa.of_nfa (Nfa.of_regex ~alphabet_size:2 r) in
+      Compose.k_prefix_bound dfa = Oracle.k_prefix_bound dfa)
+
 (* Nonrecursive PL services define k-prefix recognizable languages
    (Theorem 5.1(4)): depth bounds k. *)
 let test_nr_service_prefix_recognizable () =
@@ -481,4 +516,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_plan_accepts_matches_language;
     Alcotest.test_case "mdtb test words refute before products" `Quick
       test_mdtb_refutation_fires;
+    QCheck_alcotest.to_alcotest prop_k_prefix_matches_oracle;
   ]

@@ -266,27 +266,6 @@ let test_unfold_cache_stats () =
   Engine.set_caching true;
   check_int "no hits with caching off" 0 (Engine.Stats.unfold_cache_hits off)
 
-let test_automata_cache_stats () =
-  let v = Prop.var in
-  let sws = Reductions.sws_of_sat (Prop.And (v "x", Prop.Or (v "y", v "z"))) in
-  Sws_pl.clear_cache sws;
-  let stats = Engine.Stats.create () in
-  (* validation and equivalence both read the memoized vector DFA; every
-     read after the first must hit *)
-  ignore (Decision.pl_validation ~stats sws ~output:true);
-  (match Decision.pl_equivalence ~stats sws sws with
-  | Decision.Equivalent -> ()
-  | _ -> Alcotest.fail "a service is equivalent to itself");
-  check "automata chain hits" true
-    (Engine.Stats.automata_cache_hits stats > 0);
-  check "automata chain misses once" true
-    (Engine.Stats.automata_cache_misses stats > 0);
-  (* clearing the per-service slots forces a rebuild *)
-  Sws_pl.clear_cache sws;
-  let fresh = Engine.Stats.create () in
-  ignore (Sws_pl.vector_dfa ~stats:fresh sws);
-  check "rebuild misses" true (Engine.Stats.automata_cache_misses fresh > 0)
-
 (* ------------------------------------------------------------------ *)
 (* Stats snapshots and merging                                          *)
 (* ------------------------------------------------------------------ *)
@@ -328,7 +307,5 @@ let suite =
         test_generous_budget_agrees;
       Alcotest.test_case "unfold determinism" `Quick test_unfold_deterministic;
       Alcotest.test_case "unfold cache stats" `Quick test_unfold_cache_stats;
-      Alcotest.test_case "automata cache stats" `Quick
-        test_automata_cache_stats;
       Alcotest.test_case "stats merge and delta" `Quick test_stats_merge;
     ]

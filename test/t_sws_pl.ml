@@ -198,7 +198,7 @@ let test_roman_epsilon () =
         (Sws_pl.run sws (Roman.encode_input w)))
     (Word_gen.words_up_to ~alphabet_size:2 5)
 
-(* The memoized chain (vector DFA -> NFA -> DFA) must answer exactly as
+(* The vector-DFA chain (vector DFA -> NFA -> DFA) must answer exactly as
    the transient AFA does: the same shortest witness and the same
    language NFA, on regex-derived (Roman) services and on the SAT
    reduction's services. *)
@@ -250,7 +250,6 @@ let prop_chain_matches_afa =
     (fun sws ->
       (* answer from the chain, not from an earlier equal service's memo *)
       Engine.cache_clear_all ();
-      Sws_pl.clear_cache sws;
       let afa = Sws_pl.to_afa sws in
       let decode = List.map (Sws_pl.assignment_of_symbol sws) in
       let witness_agrees =
@@ -275,6 +274,113 @@ let prop_afa_matches_runs =
         (fun w -> Sws_pl.accepts_word sws w = Afa.accepts afa w)
         (Word_gen.words_up_to ~alphabet_size:(Sws_pl.alphabet_size sws) 2))
 
+(* {1 The vector DFA, explored on demand} *)
+
+module X = Dfa.Explorer
+
+(* Random AFAs with full Boolean conditions (negation included): at most
+   four states over one to three symbols. *)
+let gen_afa_of_size k =
+  QCheck.Gen.(
+    1 -- 4 >>= fun n ->
+    let form =
+      sized_size (0 -- 3)
+      @@ fix (fun self d ->
+             if d = 0 then
+               frequency
+                 [ (4, map (fun q -> Afa.State q) (0 -- (n - 1)));
+                   (1, oneofl [ Afa.Ftrue; Afa.Ffalse ]) ]
+             else
+               frequency
+                 [ (1, map (fun f -> Afa.Fnot f) (self (d - 1)));
+                   (2, map2 (fun f g -> Afa.Fand (f, g)) (self (d - 1)) (self (d - 1)));
+                   (2, map2 (fun f g -> Afa.For (f, g)) (self (d - 1)) (self (d - 1)));
+                   (1, self 0) ])
+    in
+    array_repeat n (array_repeat k form) >>= fun delta ->
+    0 -- (n - 1) >>= fun start ->
+    list_size (0 -- n) (0 -- (n - 1)) >>= fun finals ->
+    return (Afa.create ~alphabet_size:k ~start ~finals ~delta))
+
+(* Pairs over one alphabet: two random AFAs, or the AFAs of two Roman
+   services built from random regexes. *)
+let gen_afa_pair =
+  let roman r = Sws_pl.to_afa (Roman.to_sws_pl (Nfa.of_regex ~alphabet_size:2 r)) in
+  QCheck.Gen.(
+    oneof
+      [
+        (1 -- 3 >>= fun k -> pair (gen_afa_of_size k) (gen_afa_of_size k));
+        map2 (fun r1 r2 -> (roman r1, roman r2)) gen_regex gen_regex;
+      ])
+
+let same_dfa d e =
+  Dfa.num_states d = Dfa.num_states e
+  && Dfa.start d = Dfa.start e
+  && Dfa.finals d = Dfa.finals e
+  && List.for_all
+       (fun q ->
+         List.for_all
+           (fun a -> Dfa.delta d q a = Dfa.delta e q a)
+           (List.init (Dfa.alphabet_size d) Fun.id))
+       (List.init (Dfa.num_states d) Fun.id)
+
+(* A fresh explorer answers every question as the fully built DFA does:
+   the shortest accepted, rejected and distinguishing words are equal,
+   though the explorer numbers states in its search's order.  Forcing
+   every row gives the eager builder's DFA state for state. *)
+let prop_explorer_matches_forced =
+  QCheck.Test.make ~count:300
+    ~name:"lazy vector DFA = forced DFA (witnesses, states)"
+    (QCheck.make gen_afa_pair)
+    (fun (a1, a2) ->
+      let d1 = Afa.reverse_vector_dfa a1 and d2 = Afa.reverse_vector_dfa a2 in
+      let k = Afa.alphabet_size a1 in
+      let all_words =
+        Dfa.create ~alphabet_size:k ~start:0 ~finals:[ 0 ] ~trans:[| Array.make k 0 |]
+      in
+      same_dfa d1 (Oracle.reverse_vector_dfa a1)
+      && same_dfa d2 (Oracle.reverse_vector_dfa a2)
+      && X.shortest_word (Afa.explore a1) = Dfa.shortest_word d1
+      && X.distinguishing_word (Afa.explore a1) (X.of_dfa all_words)
+         = Dfa.distinguishing_word d1 all_words
+      && X.distinguishing_word (Afa.explore a1) (Afa.explore a2)
+         = Dfa.distinguishing_word d1 d2)
+
+(* "The k-th symbol from the end is a", over {a, b}, as in perfbench's
+   k-chain kernel: its service's vector DFA has 2^(k+1) + 1 states. *)
+let kchain_nfa k =
+  let edges =
+    (0, 0, 0) :: (0, 1, 0) :: (0, 0, 1)
+    :: List.concat_map (fun i -> [ (i, 0, i + 1); (i, 1, i + 1) ]) (List.init (k - 1) (fun i -> i + 1))
+  in
+  Nfa.create ~num_states:(k + 1) ~alphabet_size:2 ~starts:[ 0 ] ~finals:[ k ] ~edges
+    ~eps_edges:[]
+
+(* The searches compute the rows they reach and no more: on the k = 12
+   chain, a shortest rejected or accepted word costs a small part of the
+   8,193-state vector DFA. *)
+let test_explorer_is_lazy () =
+  let afa = Sws_pl.to_afa (Reductions.sws_of_afa (Afa.of_nfa (kchain_nfa 12))) in
+  let full = Dfa.num_states (Afa.reverse_vector_dfa afa) in
+  Alcotest.(check int) "the vector DFA" 8193 full;
+  let k = Afa.alphabet_size afa in
+  let all_words =
+    Dfa.create ~alphabet_size:k ~start:0 ~finals:[ 0 ] ~trans:[| Array.make k 0 |]
+  in
+  let rejected = Afa.explore afa in
+  check "a rejected word" true
+    (X.distinguishing_word rejected (X.of_dfa all_words) <> None);
+  let accepted = Afa.explore afa in
+  (match X.shortest_word accepted with
+  | Some w -> Alcotest.(check int) "the shortest accepted word" 14 (List.length w)
+  | None -> Alcotest.fail "the k-chain language is not empty");
+  check "rejected: at most one row" true (X.rows_computed rejected <= 1);
+  check "accepted: at most half the rows" true
+    (2 * X.rows_computed accepted < full);
+  let forced = Afa.explore afa in
+  ignore (X.force forced);
+  Alcotest.(check int) "forcing computes every row" full (X.rows_computed forced)
+
 let suite =
   [
     Alcotest.test_case "roman epsilon regression" `Quick test_roman_epsilon;
@@ -289,4 +395,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_roman_preserves_language;
     QCheck_alcotest.to_alcotest prop_chain_matches_afa;
     QCheck_alcotest.to_alcotest prop_afa_matches_runs;
+    QCheck_alcotest.to_alcotest prop_explorer_matches_forced;
+    Alcotest.test_case "the vector DFA is explored lazily" `Quick
+      test_explorer_is_lazy;
   ]

@@ -23,14 +23,13 @@ let wrap (name, speed, run) =
       reset ();
       Fun.protect ~finally:reset (fun () -> run args) )
 
-(* A small PL workload that exercises spans (automata chain), counters
+(* A small PL workload that exercises spans (vector-DFA searches), counters
    (sat calls, cache hits) and a scan (the nonrecursive SAT path). *)
 let v = Prop.var
 let workload_service () = Reductions.sws_of_sat (Prop.And (v "x", Prop.Or (v "y", v "z")))
 
 let run_workload () =
   let sws = workload_service () in
-  Sws_pl.clear_cache sws;
   ( Decision.pl_non_emptiness sws,
     Decision.pl_validation sws ~output:true,
     Decision.pl_nr_non_emptiness sws )
@@ -186,11 +185,10 @@ let test_provenance_recorded () =
   (* provenance is recorded even with tracing off *)
   check "tracing off" false (Obs.Trace.enabled ());
   let sws = workload_service () in
-  (* content-keyed result/automata stores may hold answers computed by
-     earlier tests on an equal service; drop them so this run really
-     rebuilds the chain and moves counters *)
+  (* content-keyed result stores may hold answers computed by earlier
+     tests on an equal service; drop them so this run really explores
+     the vector DFA and moves counters *)
   Engine.cache_clear_all ();
-  Sws_pl.clear_cache sws;
   (match Decision.pl_non_emptiness sws with
   | Decision.Yes _ -> ()
   | _ -> Alcotest.fail "satisfiable service must be nonempty");
@@ -201,8 +199,8 @@ let test_provenance_recorded () =
       p.Obs.Trace.procedure;
     check "decided true" true (p.Obs.Trace.outcome = Obs.Trace.Decided true);
     check "nonzero duration" true (p.Obs.Trace.duration_ns >= 0L);
-    (* the AFA path rebuilds its automata chain on a cleared cache, so
-       some counter must have moved during this run *)
+    (* the AFA path explores its vector DFA on a cleared cache, so some
+       counter must have moved during this run *)
     check "counters attributed" true
       (List.exists (fun (_, n) -> n > 0) p.Obs.Trace.counters));
   (* a scan-based procedure reports the scan shape *)
