@@ -75,8 +75,6 @@ let product keep d1 d2 =
     ~finals
     ~trans
 
-let inter d1 d2 = product ( && ) d1 d2
-let union d1 d2 = product ( || ) d1 d2
 let diff d1 d2 = product (fun a b -> a && not b) d1 d2
 
 let reachable_states d =
@@ -145,12 +143,12 @@ module Explorer = struct
 
   let create ~alphabet_size ~start ~final ~step =
     let module H = Hashtbl.Make (Repr.Bitset) in
-    let ids = H.create 256 in
-    let keys = ref (Array.make 64 start) in
+    let ids = H.create 32 in
+    let keys = ref (Array.make 32 start) in
     let id x key =
-      match H.find_opt ids key with
-      | Some j -> j
-      | None ->
+      match H.find ids key with
+      | j -> j
+      | exception Not_found ->
         let j = discover x ~final:(final key) in
         if j = Array.length !keys then keys := grow !keys start;
         !keys.(j) <- key;
@@ -161,8 +159,8 @@ module Explorer = struct
       {
         alphabet_size;
         start = 0;
-        final = Array.make 64 false;
-        rows = Array.make 64 unexpanded;
+        final = Array.make 32 false;
+        rows = Array.make 32 unexpanded;
         size = 0;
         computed = 0;
         expand =
@@ -205,7 +203,7 @@ module Explorer = struct
   let shortest_word x =
     let k = x.alphabet_size in
     (* pred.(q) = parent * k + symbol; -1 at the start, -2 unseen *)
-    let pred = ref (Array.make (max 64 x.size) (-2)) in
+    let pred = ref (Array.make (max 32 x.size) (-2)) in
     let rec word q acc =
       match !pred.(q) with
       | -1 -> acc
@@ -250,7 +248,7 @@ module Explorer = struct
     let mask = (1 lsl 31) - 1 in
     let differ p q = is_final x1 p <> is_final x2 q in
     (* parent pair code and symbol of each visited pair; -1 at the start *)
-    let parent = Itbl.create 64 in
+    let parent = Itbl.create 16 in
     let rec word c acc =
       match Itbl.find parent c with
       | -1, _ -> acc
@@ -288,13 +286,6 @@ module Explorer = struct
 end
 
 let shortest_word d = Explorer.shortest_word (Explorer.of_dfa d)
-
-let contains d1 d2 = is_empty (diff d2 d1) (* L(d2) <= L(d1) *)
-
-(* Shortest word of L(d2) \ L(d1): [None] iff [contains d1 d2]. *)
-let contains_cex d1 d2 = shortest_word (diff d2 d1)
-
-let equivalent d1 d2 = is_empty (diff d1 d2) && is_empty (diff d2 d1)
 
 let distinguishing_word ?on_level ?on_pair d1 d2 =
   Explorer.distinguishing_word ?on_level ?on_pair (Explorer.of_dfa d1)
@@ -421,12 +412,6 @@ let of_nfa n =
   let trans = Array.make num [||] in
   List.iter (fun (i, row) -> trans.(i) <- row) !rows;
   create ~alphabet_size ~start:0 ~finals:!finals ~trans
-
-let nfa_equivalent n1 n2 = equivalent (of_nfa n1) (of_nfa n2)
-
-let nfa_contains n1 n2 = contains (of_nfa n1) (of_nfa n2)
-
-let nfa_contains_cex n1 n2 = contains_cex (of_nfa n1) (of_nfa n2)
 
 let pp ppf d =
   Fmt.pf ppf "DFA(states=%d, alphabet=%d, start=%d, finals=%a)" (num_states d)

@@ -19,9 +19,6 @@ val complement : t -> t
 (** Pair construction; [keep] decides finality of a pair. *)
 val product : (bool -> bool -> bool) -> t -> t -> t
 
-val inter : t -> t -> t
-val union : t -> t -> t
-
 (** [diff a b] accepts L(a) minus L(b). *)
 val diff : t -> t -> t
 
@@ -82,15 +79,6 @@ end
     ({!Explorer.shortest_word} of {!Explorer.of_dfa}). *)
 val shortest_word : t -> int list option
 
-(** [contains a b] iff L(b) is a subset of L(a). *)
-val contains : t -> t -> bool
-
-(** [contains_cex a b] is a shortest word of [L(b) \ L(a)]: [None] iff
-    [contains a b].  The eager counterpart of [Lang.contains_cex]. *)
-val contains_cex : t -> t -> int list option
-
-val equivalent : t -> t -> bool
-
 (** {!Explorer.distinguishing_word} on two eager DFAs. *)
 val distinguishing_word :
   ?on_level:(int -> unit) ->
@@ -106,14 +94,5 @@ val to_nfa : t -> Nfa.t
 
 (** On-the-fly subset construction. *)
 val of_nfa : Nfa.t -> t
-
-val nfa_equivalent : Nfa.t -> Nfa.t -> bool
-
-(** [nfa_contains a b] iff L(b) is a subset of L(a). *)
-val nfa_contains : Nfa.t -> Nfa.t -> bool
-
-(** [nfa_contains_cex a b] is a shortest word of [L(b) \ L(a)] found by
-    full determinization; [None] iff [nfa_contains a b]. *)
-val nfa_contains_cex : Nfa.t -> Nfa.t -> int list option
 
 val pp : t Fmt.t

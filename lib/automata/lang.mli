@@ -16,11 +16,10 @@
     This is the only NFA language engine; it serves composition, RPQ
     containment and regular rewriting.  The SWS(PL, PL) decisions do not
     use it: they already hold a DFA per service and search its state
-    pairs ({!Dfa.distinguishing_word}).  The determinizing procedures of
-    {!Dfa} ([nfa_contains_cex], [nfa_equivalent]) are its test oracle,
-    not an alternative to it.  Exploration is sequential and
-    deterministic: verdicts and witness words are identical at every
-    domain-pool size. *)
+    pairs ({!Dfa.distinguishing_word}).  Full determinization and the DFA
+    product ({!Dfa.of_nfa}, {!Dfa.diff}) are its test oracle, not an
+    alternative to it.  Exploration is sequential and deterministic:
+    verdicts and witness words are identical at every domain-pool size. *)
 
 (** Exploration limits ([None] = unlimited), checked as the engine
     explores. *)
@@ -46,10 +45,9 @@ val pp_trip : trip Fmt.t
 
 type 'a run = ('a, trip) result
 
-(** [contains_cex sup sub] decides [L(sub) <= L(sup)] (the argument order
-    of {!Dfa.nfa_contains}): [Ok None] when contained, [Ok (Some w)] with
-    [w] a shortest word of [L(sub) \ L(sup)] otherwise.  Raises
-    [Invalid_argument] when the alphabets differ. *)
+(** [contains_cex sup sub] decides [L(sub) <= L(sup)]: [Ok None] when
+    contained, [Ok (Some w)] with [w] a shortest word of [L(sub) \ L(sup)]
+    otherwise.  Raises [Invalid_argument] when the alphabets differ. *)
 val contains_cex : ?limits:limits -> Nfa.t -> Nfa.t -> int list option run
 
 val contains : ?limits:limits -> Nfa.t -> Nfa.t -> bool run

@@ -44,7 +44,7 @@ module Expand = Rewriting.Expand
 
 (* The vector DFA recognizes the reversed language. *)
 let pl_language_nfa sws =
-  Nfa.reverse (Dfa.to_nfa (Automata.Afa.reverse_vector_dfa (Sws_pl.to_afa sws)))
+  Nfa.reverse (Dfa.to_nfa (Dfa.Explorer.force (Sws_pl.explore sws)))
 
 (* Minimal-prefix language: words accepted with no accepted proper prefix.
    A component invoked by a mediator runs to completion and hands control

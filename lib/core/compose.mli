@@ -15,7 +15,7 @@
 
 (** The language of a PL service: input sequences answered [true].
     Built on each call from the service's vector DFA
-    ([Afa.reverse_vector_dfa] of {!Sws_pl.to_afa}), by reversal. *)
+    ({!Sws_pl.explore}, forced), by reversal. *)
 val pl_language_nfa : Sws_pl.t -> Automata.Nfa.t
 
 (** Words accepted with no accepted proper prefix: how a component invoked

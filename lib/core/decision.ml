@@ -4,9 +4,9 @@
    Exact procedures implement the algorithms sketched in the proofs of
    Theorem 4.1:
 
-   - SWS(PL, PL): via the alternating-automaton translation (the emptiness
-     check explores reachable truth vectors on the fly — the PSPACE-style
-     algorithm); SWS_nr(PL, PL): SAT on the unfolded formula (NP / coNP).
+   - SWS(PL, PL): on the service's vector DFA (each search explores the
+     reachable truth vectors on the fly — the PSPACE-style algorithm);
+     SWS_nr(PL, PL): SAT on the unfolded formula (NP / coNP).
    - SWS_nr(CQ, UCQ): unfold to a UCQ with <> and use canonical databases
      (non-emptiness), a small-model search (validation) and Klug-complete
      containment (equivalence).
@@ -144,15 +144,11 @@ let run_equiv_outcome = function
   | Inequivalent _ -> Obs.Trace.Decided false
   | Equiv_exhausted e -> Obs.Trace.Tripped e.Engine.limit
 
-(* The service's vector DFA, expanded on demand: a fresh explorer per
-   question, so a search computes only the rows it reaches, inside its
-   own meter. *)
-let explore sws = Automata.Afa.explore (Sws_pl.to_afa sws)
-
-(* A shortest accepted sequence: [Afa.shortest_word] of the service's AFA,
-   read off its vector DFA. *)
+(* A shortest accepted sequence, read off the vector DFA reversed.  Each
+   question explores a fresh vector DFA, so a search computes only the
+   rows it reaches, inside its own meter. *)
 let shortest_accepted sws =
-  match Dfa.Explorer.shortest_word (explore sws) with
+  match Dfa.Explorer.shortest_word (Sws_pl.explore sws) with
   | Some w -> Yes (decode_word sws (List.rev w))
   | None -> No
 
@@ -210,7 +206,7 @@ let pl_validation ?stats ?budget sws ~output =
         ~trans:[| Array.make k 0 |]
     in
     match
-      distinguishing_sequence ?stats budget_v sws (explore sws)
+      distinguishing_sequence ?stats budget_v sws (Sws_pl.explore sws)
         (Dfa.Explorer.of_dfa all_words)
     with
     | Ok (Some w) -> Yes w
@@ -235,7 +231,8 @@ let pl_equivalence ?stats ?budget sws1 sws2 =
   Engine.run ?stats ~name:"pl_equivalence" ~outcome:run_equiv_outcome
   @@ fun () ->
   match
-    distinguishing_sequence ?stats budget_v sws1 (explore sws1) (explore sws2)
+    distinguishing_sequence ?stats budget_v sws1 (Sws_pl.explore sws1)
+      (Sws_pl.explore sws2)
   with
   | Ok None -> Equivalent
   | Ok (Some w) -> Inequivalent w

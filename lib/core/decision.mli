@@ -27,7 +27,7 @@ type 'c equiv_outcome =
 (** {1 SWS(PL, PL) — automata-based (pspace cells)}
 
     All three questions are answered by breadth-first search on each
-    service's vector DFA ([Afa.explore] of {!Sws_pl.to_afa}), so every
+    service's vector DFA ({!Sws_pl.explore}), so every
     witness is a shortest one.  Each question explores a fresh vector
     DFA on demand: only the truth vectors its search reaches get rows.
     Validation with [output = false] and equivalence respect [budget]

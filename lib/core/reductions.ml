@@ -35,7 +35,7 @@ let sws_of_sat f =
 (* AFA emptiness -> SWS(PL, PL) non-emptiness                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The converse direction of the Sws_pl.to_afa translation.  Input words
+(* The converse of reading a service as an AFA (Sws_pl.explore).  Input words
    are one-hot letter assignments followed by the doubled end marker (as in
    the Roman encoding).  For each AFA state q the SWS state "q<i>" has:
 

@@ -16,7 +16,6 @@
    (e.g. X3 = Y1 \/ (~Y1 /\ Y2)). *)
 
 module Prop = Proplogic.Prop
-module Afa = Automata.Afa
 
 let msg_var = "@msg"
 
@@ -156,161 +155,197 @@ let accepts_word t word =
   run t (List.map (assignment_of_symbol t) word)
 
 (* ------------------------------------------------------------------ *)
-(* Translation to alternating automata                                 *)
+(* The vector DFA of the reversed language, bit-sliced                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A transition or final-state synthesis query compiled to a predicate on
-   a symbol's bit mask with the message bit placed after the input
-   variables: [compile_query t f (s lor (1 lsl n))], for [n] input
-   variables, is [Prop.eval] of [f] under symbol [s] with the message set
-   (without the bit: unset).  A variable is true when any of its input
-   positions (and, for [msg_var], the message bit) is set, which is
-   [Prop.eval]'s reading of the assignment [Sem.env] builds. *)
-let compile_query t =
-  let n = List.length t.input_vars in
-  let mask x =
-    let m, _ =
-      List.fold_left
-        (fun (m, i) y -> ((if String.equal x y then m lor (1 lsl i) else m), i + 1))
-        (0, 0) t.input_vars
+module Bs = Repr.Bitset
+
+(* Symbols per mask word: one short of an int's bits, so none is negative. *)
+let word_width = Sys.int_size - 1
+
+(* The i below [n] with [act_var i] = [x]: the successor [x] names. *)
+let rec act_index x n i =
+  if i = n then None
+  else if String.equal x (act_var i) then Some i
+  else act_index x n (i + 1)
+
+(* A live (state, message bit) pair, compiled: a final state's synthesis
+   query as a constant symbol mask, an internal state's as a program
+   giving word b of its value under the vector being stepped ([out]
+   holds the row's result by word). *)
+type pair = Const of int array | Rule of { prog : int -> int; out : int array }
+
+(* The service's language, read as an alternating automaton over
+   (SWS state, message bit) pairs, is what Theorem 4.1(3) decides along
+   the lines of AFA non-emptiness.  From an alive pair on symbol a:
+
+   - a final SWS state is true iff its synthesis query psi(a, m) holds
+     (its value ignores the rest of the sequence);
+   - an internal state is psi with act_i replaced by "phi_i(a, m) holds
+     and the pair (q_i, true) is true on the rest".
+
+   A non-root pair with message false is false whatever follows, and the
+   start state is never a successor (Definition 2.1), so the live pairs
+   are (start, false), numbered 0, and (q, true) for every state q,
+   numbered 1 + its position in [Sws_def.states].  No pair is true on the
+   empty suffix: a node whose timestamp exceeds the input length gets the
+   empty action (rule (1)).
+
+   The explorer's states are the truth vectors of these pairs on the
+   suffixes read so far, so it is the DFA of the reversed language: it
+   starts from the empty vector and accepts when pair 0 is true.  A row
+   steps a vector on every symbol at once.  Bit j of word b of a mask is
+   the value under symbol b * [word_width] + j: every query is compiled
+   to a program over such words, [Not] being the complement within the
+   alphabet.  A transition query is evaluated once, to the mask of its
+   child literal; a synthesis query once per row and word, each literal
+   reading its mask when its child pair is in the vector and zero
+   otherwise.  Each symbol's successor vector is then read off by bit
+   tests.  The first row compiles the service: a search that reads no
+   row compiles nothing. *)
+let explore t =
+  let k = alphabet_size t in
+  let nwords = (k + word_width - 1) / word_width in
+  let width b = min word_width (k - (b * word_width)) in
+  let compile () =
+    let full = Array.init nwords (fun b -> (1 lsl width b) - 1) in
+    let program leaf f =
+      let rec go = function
+        | Prop.True -> fun b -> full.(b)
+        | Prop.False -> fun _ -> 0
+        | Prop.Var x -> leaf x
+        | Prop.Not f ->
+          let f = go f in
+          fun b -> full.(b) land lnot (f b)
+        | Prop.And (f, g) ->
+          let f = go f and g = go g in
+          fun b -> f b land g b
+        | Prop.Or (f, g) ->
+          let f = go f and g = go g in
+          fun b -> f b lor g b
+        | Prop.Implies (f, g) ->
+          let f = go f and g = go g in
+          fun b -> (full.(b) land lnot (f b)) lor g b
+        | Prop.Iff (f, g) ->
+          let f = go f and g = go g in
+          fun b -> full.(b) land lnot (f b lxor g b)
+      in
+      go f
     in
-    if String.equal x msg_var then m lor (1 lsl n) else m
+    (* Input position i's mask: the symbols that set bit i, built on
+       first use.  A variable is true when any of its positions is set,
+       and [msg_var] also when the message is, as in the assignment
+       [Sem.env] builds.  A transition or final query is compiled once
+       per message bit, however many rules share it. *)
+    let positions = Array.make (List.length t.input_vars) [||] in
+    let position i =
+      if Array.length positions.(i) = 0 then
+        positions.(i) <-
+          Array.init nwords (fun b ->
+              let m = ref 0 in
+              for j = 0 to width b - 1 do
+                if ((b * word_width) + j) land (1 lsl i) <> 0 then
+                  m := !m lor (1 lsl j)
+              done;
+              !m);
+      positions.(i)
+    in
+    let var_mask ~msg x =
+      if msg && String.equal x msg_var then full
+      else
+        let m = Array.make nwords 0 in
+        List.iteri
+          (fun i y ->
+            if String.equal x y then
+              Array.iteri (fun b p -> m.(b) <- m.(b) lor p) (position i))
+          t.input_vars;
+        m
+    in
+    let queries = [| Hashtbl.create 16; Hashtbl.create 16 |] in
+    let query ~msg f =
+      let memo = queries.(Bool.to_int msg) in
+      match Hashtbl.find memo f with
+      | m -> m
+      | exception Not_found ->
+        let m =
+          Array.init nwords
+            (program
+               (fun x ->
+                 let m = var_mask ~msg x in
+                 fun b -> m.(b))
+               f)
+        in
+        Hashtbl.add memo f m;
+        m
+    in
+    let states = Array.of_list (Sws_def.states t.def) in
+    let index = Hashtbl.create 16 in
+    Array.iteri (fun i q -> Hashtbl.replace index q i) states;
+    let alive = Array.make (1 + Array.length states) false in
+    let pair ~msg q =
+      let rule = Sws_def.rule t.def q in
+      match rule.Sws_def.succs with
+      | [] -> Const (query ~msg rule.Sws_def.synth)
+      | succs ->
+        let literal (q_i, phi_i) =
+          let c = 1 + Hashtbl.find index q_i and m = query ~msg phi_i in
+          fun b -> if alive.(c) then m.(b) else 0
+        in
+        let literals = Array.of_list (List.map literal succs) in
+        let leaf x =
+          match act_index x (Array.length literals) 0 with
+          | Some i -> literals.(i)
+          | None -> fun _ -> 0 (* unreachable: checked by [make] *)
+        in
+        Rule { prog = program leaf rule.Sws_def.synth; out = Array.make nwords 0 }
+    in
+    let pairs =
+      Array.append
+        [| pair ~msg:false (Sws_def.start t.def) |]
+        (Array.map (pair ~msg:true) states)
+    in
+    let npairs = Array.length pairs in
+    (alive, pairs, Array.make npairs [||], Array.make npairs 0)
   in
-  let rec go = function
-    | Prop.True -> fun _ -> true
-    | Prop.False -> fun _ -> false
-    | Prop.Var x ->
-      let m = mask x in
-      fun s -> s land m <> 0
-    | Prop.Not f ->
-      let f = go f in
-      fun s -> not (f s)
-    | Prop.And (f, g) ->
-      let f = go f and g = go g in
-      fun s -> f s && g s
-    | Prop.Or (f, g) ->
-      let f = go f and g = go g in
-      fun s -> f s || g s
-    | Prop.Implies (f, g) ->
-      let f = go f and g = go g in
-      fun s -> (not (f s)) || g s
-    | Prop.Iff (f, g) ->
-      let f = go f and g = go g in
-      fun s -> Bool.equal (f s) (g s)
+  let compiled = lazy (compile ()) in
+  let acc = Bs.acc_create () in
+  let step v =
+    (* [words.(p)] is pair p's value by word; [live] holds the pairs
+       whose word b is not zero *)
+    let alive, pairs, words, live = Lazy.force compiled in
+    Array.fill alive 0 (Array.length alive) false;
+    Bs.iter (fun p -> alive.(p) <- true) v;
+    for p = 0 to Array.length pairs - 1 do
+      match pairs.(p) with
+      | Const m -> words.(p) <- m
+      | Rule r ->
+        for b = 0 to nwords - 1 do
+          r.out.(b) <- r.prog b
+        done;
+        words.(p) <- r.out
+    done;
+    let succs = Array.make k Bs.empty in
+    for b = 0 to nwords - 1 do
+      let n = ref 0 in
+      for p = 0 to Array.length pairs - 1 do
+        if words.(p).(b) <> 0 then begin
+          live.(!n) <- p;
+          incr n
+        end
+      done;
+      if !n > 0 then
+        for j = 0 to width b - 1 do
+          for i = 0 to !n - 1 do
+            let p = live.(i) in
+            if words.(p).(b) land (1 lsl j) <> 0 then Bs.acc_add acc p
+          done;
+          succs.((b * word_width) + j) <- Bs.acc_finish acc
+        done
+    done;
+    succs
   in
-  go
-
-(* An internal state's synthesis query as an AFA condition builder: each
-   [act_var i] is resolved to child [i] once per state, and the result maps
-   one cell's child literals to the cell's condition.  The connectives fold
-   constants, which keeps the truth value of every condition under every
-   vector. *)
-let synth_form acts synth =
-  let f_not = function
-    | Afa.Ftrue -> Afa.Ffalse
-    | Afa.Ffalse -> Afa.Ftrue
-    | f -> Afa.Fnot f
-  in
-  let f_and a b =
-    match (a, b) with
-    | Afa.Ffalse, _ | _, Afa.Ffalse -> Afa.Ffalse
-    | Afa.Ftrue, x | x, Afa.Ftrue -> x
-    | _ -> Afa.Fand (a, b)
-  in
-  let f_or a b =
-    match (a, b) with
-    | Afa.Ftrue, _ | _, Afa.Ftrue -> Afa.Ftrue
-    | Afa.Ffalse, x | x, Afa.Ffalse -> x
-    | _ -> Afa.For (a, b)
-  in
-  let rec go = function
-    | Prop.True -> fun _ -> Afa.Ftrue
-    | Prop.False -> fun _ -> Afa.Ffalse
-    | Prop.Var x -> (
-      match List.assoc_opt x acts with
-      | Some i -> fun lits -> lits.(i)
-      | None -> fun _ -> Afa.Ffalse (* unreachable: checked by [make] *))
-    | Prop.Not f ->
-      let f = go f in
-      fun l -> f_not (f l)
-    | Prop.And (f, g) ->
-      let f = go f and g = go g in
-      fun l -> f_and (f l) (g l)
-    | Prop.Or (f, g) ->
-      let f = go f and g = go g in
-      fun l -> f_or (f l) (g l)
-    | Prop.Implies (f, g) ->
-      let f = go f and g = go g in
-      fun l -> f_or (f_not (f l)) (g l)
-    | Prop.Iff (f, g) ->
-      let f = go f and g = go g in
-      fun l ->
-        let a = f l and b = g l in
-        f_or (f_and a b) (f_and (f_not a) (f_not b))
-  in
-  go synth
-
-(* The AFA of the service's language (sequences with output true).  States
-   are (SWS state, message bit) pairs: the message bit is the only extra
-   run-time state a node carries.  From an alive pair on symbol a:
-
-   - a final SWS state contributes the constant psi(a, m) (its value ignores
-     the rest of the sequence);
-   - an internal state contributes psi with act_i replaced by the pair state
-     (q_i, phi_i(a, m)).
-
-   Dead pairs (non-root, message false) have constant-false transitions, and
-   no state is AFA-final: a node whose timestamp exceeds the input length
-   gets the empty action (rule (1)), i.e. value false on the empty suffix.
-   So a dead pair is false in every truth vector.  The start state is never
-   a successor (Definition 2.1, checked by [Sws_def.make]), so a child whose
-   message is false names a dead pair: its literal is the constant false.
-   The start pair is (q0, false): the root proceeds despite its empty
-   message when the input is nonempty. *)
-let to_afa t =
-  let states = Array.of_list (Sws_def.states t.def) in
-  let index =
-    let tbl = Hashtbl.create 16 in
-    Array.iteri (fun i q -> Hashtbl.add tbl q i) states;
-    fun q -> Hashtbl.find tbl q
-  in
-  let alphabet_size = alphabet_size t in
-  let start_name = Sws_def.start t.def in
-  let msg_bit = alphabet_size in
-  let query = compile_query t in
-  (* One state's rows, its queries compiled once for both message bits. *)
-  let rows q =
-    let rule = Sws_def.rule t.def q in
-    match rule.Sws_def.succs with
-    | [] ->
-      let synth = query rule.Sws_def.synth in
-      fun m ->
-        Array.init alphabet_size (fun s ->
-            if synth (s lor m) then Afa.Ftrue else Afa.Ffalse)
-    | succs ->
-      let literal (q_i, phi_i) =
-        let alive = Afa.State ((2 * index q_i) + 1) and phi_i = query phi_i in
-        fun s -> if phi_i s then alive else Afa.Ffalse
-      in
-      let children = Array.of_list (List.map literal succs) in
-      let synth =
-        synth_form (List.mapi (fun i _ -> (act_var i, i)) succs) rule.Sws_def.synth
-      in
-      fun m ->
-        Array.init alphabet_size (fun s ->
-            let s = s lor m in
-            synth (Array.map (fun child -> child s) children))
-  in
-  let delta = Array.make (2 * Array.length states) [||] in
-  Array.iteri
-    (fun i q ->
-      let rows = rows q in
-      delta.(2 * i) <-
-        (if String.equal q start_name then rows 0
-         else Array.make alphabet_size Afa.Ffalse);
-      delta.((2 * i) + 1) <- rows msg_bit)
-    states;
-  Afa.create ~alphabet_size ~start:(2 * index start_name) ~finals:[] ~delta
+  Automata.Dfa.Explorer.create ~alphabet_size:k ~start:Bs.empty ~final:(Bs.mem 0)
+    ~step
 
 (* ------------------------------------------------------------------ *)
 (* Nonrecursive unfolding to a single formula                          *)

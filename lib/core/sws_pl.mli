@@ -77,15 +77,18 @@ val assignment_of_symbol : t -> int -> Prop.assignment
 val symbol_of_assignment : t -> Prop.assignment -> int
 val accepts_word : t -> int list -> bool
 
-(** The alternating automaton of the service's language (sequences with
-    output true): states are (SWS state, message bit) pairs; see the
-    implementation for the construction.  Drives the PSPACE procedures of
-    Theorem 4.1(3): [Afa.explore] of it is the DFA of the reversed
-    language over reachable truth vectors, expanded on demand, on which
-    [Decision] answers all three SWS(PL, PL) questions (reversal keeps
-    word lengths and equivalence).  Built afresh on every call; nothing
-    derived from it is memoized. *)
-val to_afa : t -> Automata.Afa.t
+(** The DFA of the service's reversed language, expanded on demand: the
+    procedures of Theorem 4.1(3), run "along the lines of AFA
+    non-emptiness".  Its states are the truth vectors of the service's
+    live (state, message bit) pairs on the suffixes read so far, starting
+    from the empty vector; a vector is final when the start pair is
+    true.  [Decision] answers all three SWS(PL, PL) questions on it
+    (reversal keeps word lengths and equivalence).  A row steps a vector
+    on every symbol at once: each query is compiled, on the first row,
+    to bit masks over the alphabet, one bit per symbol.  A fresh
+    explorer, private to the caller, on every call; nothing derived from
+    it is memoized. *)
+val explore : t -> Automata.Dfa.Explorer.t
 
 (** {1 Nonrecursive unfolding} *)
 

@@ -125,15 +125,16 @@ let subset a b =
   let rec go j = j >= la || (a.words.(j) land lnot b.words.(j) = 0 && go (j + 1)) in
   go 0
 
+(* Word by word from [j]; top level, so an equality test allocates no
+   closure (hash-table lookups on sets call it on every probe). *)
+let rec words_equal a b j =
+  j >= Array.length a || (a.(j) = b.(j) && words_equal a b (j + 1))
+
 (* Normalization makes semantic equality plain array equality. *)
 let equal a b =
   a == b
-  ||
-  let la = Array.length a.words in
-  la = Array.length b.words
-  &&
-  let rec go j = j >= la || (a.words.(j) = b.words.(j) && go (j + 1)) in
-  go 0
+  || (Array.length a.words = Array.length b.words
+     && words_equal a.words b.words 0)
 
 let compare a b =
   let la = Array.length a.words and lb = Array.length b.words in

@@ -158,3 +158,86 @@ let reverse_vector_dfa a =
   let trans = Array.make !next_id [||] in
   List.iter (fun (i, row) -> trans.(i) <- row) !rows;
   Dfa.create ~alphabet_size:k ~start:0 ~finals:!finals ~trans
+
+(* Eager language operations on complete DFAs, by the pair construction
+   and full determinization: the plain reference the lazy engines
+   ([Lang], [Dfa.Explorer.distinguishing_word]) are checked against. *)
+module Eager = struct
+  let inter d1 d2 = Dfa.product ( && ) d1 d2
+  let union d1 d2 = Dfa.product ( || ) d1 d2
+
+  (* [contains a b] iff L(b) is a subset of L(a). *)
+  let contains d1 d2 = Dfa.is_empty (Dfa.diff d2 d1)
+
+  (* A shortest word of L(b) \ L(a): [None] iff [contains a b]. *)
+  let contains_cex d1 d2 = Dfa.shortest_word (Dfa.diff d2 d1)
+  let equivalent d1 d2 = contains d1 d2 && contains d2 d1
+  let nfa_equivalent n1 n2 = equivalent (Dfa.of_nfa n1) (Dfa.of_nfa n2)
+  let nfa_contains n1 n2 = contains (Dfa.of_nfa n1) (Dfa.of_nfa n2)
+  let nfa_contains_cex n1 n2 = contains_cex (Dfa.of_nfa n1) (Dfa.of_nfa n2)
+end
+
+(* The alternating automaton of an SWS(PL, PL) service's language, cell by
+   cell from the run semantics: AFA state 2i + m is the service's i-th
+   state with message bit m.  On symbol s, a final state's cell is its
+   synthesis query under [Prop.eval] (the symbol's assignment, plus
+   [msg_var] when m is set); an internal state's is its synthesis query
+   with act_i replaced by state 2j + 1 for child j when the transition
+   query holds, false otherwise.  Only the start state proceeds with its
+   message unset, and no state is final: a node past the end of the
+   input gets the empty action. *)
+let to_afa sws =
+  let module Prop = Proplogic.Prop in
+  let module Sws_pl = Sws.Sws_pl in
+  let module Sws_def = Sws.Sws_def in
+  let def = Sws_pl.def sws in
+  let states = Sws_def.states def in
+  let index q =
+    let rec go i = function
+      | [] -> invalid_arg "Oracle.to_afa: unknown state"
+      | q' :: rest -> if String.equal q q' then i else go (i + 1) rest
+    in
+    go 0 states
+  in
+  let start = Sws_def.start def in
+  let cell q ~msg s =
+    let env =
+      let a = Sws_pl.assignment_of_symbol sws s in
+      if msg then Prop.Sset.add Sws_pl.msg_var a else a
+    in
+    let rule = Sws_def.rule def q in
+    let rec form = function
+      | Prop.True -> Afa.Ftrue
+      | Prop.False -> Afa.Ffalse
+      | Prop.Var x ->
+        let rec child i = function
+          | [] -> Afa.Ffalse
+          | (q_i, phi_i) :: rest ->
+            if not (String.equal x (Sws_pl.act_var i)) then child (i + 1) rest
+            else if Prop.eval env phi_i then Afa.State ((2 * index q_i) + 1)
+            else Afa.Ffalse
+        in
+        child 0 rule.Sws_def.succs
+      | Prop.Not f -> Afa.Fnot (form f)
+      | Prop.And (f, g) -> Afa.Fand (form f, form g)
+      | Prop.Or (f, g) -> Afa.For (form f, form g)
+      | Prop.Implies (f, g) -> Afa.For (Afa.Fnot (form f), form g)
+      | Prop.Iff (f, g) ->
+        Afa.For
+          (Afa.Fand (form f, form g), Afa.Fand (Afa.Fnot (form f), Afa.Fnot (form g)))
+    in
+    match rule.Sws_def.succs with
+    | [] -> if Prop.eval env rule.Sws_def.synth then Afa.Ftrue else Afa.Ffalse
+    | _ -> form rule.Sws_def.synth
+  in
+  let k = Sws_pl.alphabet_size sws in
+  let delta =
+    Array.of_list
+      (List.concat_map
+         (fun q ->
+           [ Array.init k (fun s ->
+                 if String.equal q start then cell q ~msg:false s else Afa.Ffalse);
+             Array.init k (fun s -> cell q ~msg:true s) ])
+         states)
+  in
+  Afa.create ~alphabet_size:k ~start:(2 * index start) ~finals:[] ~delta

@@ -44,7 +44,7 @@ let test_subset_construction () =
 let test_minimize () =
   let dfa = Dfa.of_nfa (nfa_of "(a|b)*abb") in
   let m = Dfa.minimize dfa in
-  check "minimized equivalent" true (Dfa.equivalent dfa m);
+  check "minimized equivalent" true (Oracle.Eager.equivalent dfa m);
   check "minimized smaller or equal" true (Dfa.num_states m <= Dfa.num_states dfa);
   (* the canonical (a|b)*abb minimal DFA has 4 states, plus the dead state
      absorbing the unused third letter of our alphabet *)
@@ -52,10 +52,10 @@ let test_minimize () =
 
 let test_boolean_ops () =
   let d1 = Dfa.of_nfa (nfa_of "a*") and d2 = Dfa.of_nfa (nfa_of "(aa)*") in
-  check "inter = (aa)*" true (Dfa.equivalent (Dfa.inter d1 d2) d2);
-  check "union = a*" true (Dfa.equivalent (Dfa.union d1 d2) d1);
-  check "d2 <= d1" true (Dfa.contains d1 d2);
-  check "not d1 <= d2" false (Dfa.contains d2 d1);
+  check "inter = (aa)*" true (Oracle.Eager.equivalent (Oracle.Eager.inter d1 d2) d2);
+  check "union = a*" true (Oracle.Eager.equivalent (Oracle.Eager.union d1 d2) d1);
+  check "d2 <= d1" true (Oracle.Eager.contains d1 d2);
+  check "not d1 <= d2" false (Oracle.Eager.contains d2 d1);
   let odd_a = Dfa.diff d1 d2 in
   check "a in diff" true (Dfa.accepts odd_a [ 0 ]);
   check "aa not in diff" false (Dfa.accepts odd_a [ 0; 0 ])
@@ -204,9 +204,9 @@ let prop_lang_agrees_regex =
   QCheck.Test.make ~count:600 ~name:"lang antichain = eager (regex pairs)"
     (QCheck.make regex_pair_gen) (fun (s1, s2) ->
       let n1 = nfa_of s1 and n2 = nfa_of s2 in
-      Bool.equal (ok (Lang.contains n1 n2)) (Dfa.nfa_contains n1 n2)
-      && Bool.equal (ok (Lang.contains n2 n1)) (Dfa.nfa_contains n2 n1)
-      && Bool.equal (ok (Lang.equivalent n1 n2)) (Dfa.nfa_equivalent n1 n2))
+      Bool.equal (ok (Lang.contains n1 n2)) (Oracle.Eager.nfa_contains n1 n2)
+      && Bool.equal (ok (Lang.contains n2 n1)) (Oracle.Eager.nfa_contains n2 n1)
+      && Bool.equal (ok (Lang.equivalent n1 n2)) (Oracle.Eager.nfa_equivalent n1 n2))
 
 (* Same agreement on arbitrary (not regex-shaped) NFAs: junk states,
    unreachable finals, epsilon cycles, empty languages. *)
@@ -214,8 +214,8 @@ let prop_lang_agrees_random_nfa =
   QCheck.Test.make ~count:400 ~name:"lang antichain = eager (random nfas)"
     (QCheck.make nfa_pair_gen) (fun (r1, r2) ->
       let n1 = build_nfa r1 and n2 = build_nfa r2 in
-      Bool.equal (ok (Lang.contains n1 n2)) (Dfa.nfa_contains n1 n2)
-      && Bool.equal (ok (Lang.equivalent n1 n2)) (Dfa.nfa_equivalent n1 n2)
+      Bool.equal (ok (Lang.contains n1 n2)) (Oracle.Eager.nfa_contains n1 n2)
+      && Bool.equal (ok (Lang.equivalent n1 n2)) (Oracle.Eager.nfa_equivalent n1 n2)
       && Bool.equal (ok (Lang.is_empty n1)) (Nfa.is_empty n1))
 
 (* Counterexample validity and minimality: a containment witness lies in
@@ -227,17 +227,17 @@ let prop_lang_cex_valid =
       let n1 = nfa_of s1 and n2 = nfa_of s2 in
       let contain_ok =
         match ok (Lang.contains_cex n1 n2) with
-        | None -> Dfa.nfa_contains n1 n2
+        | None -> Oracle.Eager.nfa_contains n1 n2
         | Some w ->
           Nfa.accepts n2 w
           && (not (Nfa.accepts n1 w))
-          && (match Dfa.nfa_contains_cex n1 n2 with
+          && (match Oracle.Eager.nfa_contains_cex n1 n2 with
              | Some w' -> List.length w = List.length w'
              | None -> false)
       in
       let equiv_ok =
         match ok (Lang.equivalent_cex n1 n2) with
-        | None -> Dfa.nfa_equivalent n1 n2
+        | None -> Oracle.Eager.nfa_equivalent n1 n2
         | Some w ->
           not (Bool.equal (Nfa.accepts n1 w) (Nfa.accepts n2 w))
       in

@@ -452,8 +452,8 @@ let prop_compose_or_sound =
       | Some { Compose.mediator; exact; _ } ->
         let views = List.map (fun (_, n) -> Compose.minimal_prefix_nfa n) components in
         let e = Rewriting.Regex_rewrite.expansion ~views mediator in
-        let sound = Dfa.nfa_contains goal e in
-        let tight = (not exact) || Dfa.nfa_contains e goal in
+        let sound = Oracle.Eager.nfa_contains goal e in
+        let tight = (not exact) || Oracle.Eager.nfa_contains e goal in
         sound && tight)
 
 (* Witness validity: non-emptiness witnesses of random tree-shaped CQ/UCQ

@@ -119,7 +119,7 @@ let test_minimize_idempotent () =
       let m = Dfa.minimize d in
       let mm = Dfa.minimize m in
       check "idempotent size" true (Dfa.num_states m = Dfa.num_states mm);
-      check "still equivalent" true (Dfa.equivalent d mm))
+      check "still equivalent" true (Oracle.Eager.equivalent d mm))
     regex_samples
 
 let test_eps_free_preserves () =

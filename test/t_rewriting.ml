@@ -168,7 +168,7 @@ let prop_rewrite_sound =
       let views = List.map nfa view_ss in
       let m = Regex_rewrite.maximal_rewriting ~target ~views in
       let e = Regex_rewrite.expansion ~views m in
-      Dfa.nfa_contains target e)
+      Oracle.Eager.nfa_contains target e)
 
 let suite =
   [

@@ -80,13 +80,14 @@ let parity_pl =
 
 let test_recursive_flag () = check "recursive" true (Sws_pl.is_recursive parity_pl)
 
-(* AFA translation agrees with direct runs on all short words. *)
+(* The vector DFA, forced, accepts the reversal of exactly the words
+   direct runs answer with true, on all short words. *)
 let afa_agrees name sws max_len () =
-  let afa = Sws_pl.to_afa sws in
+  let vdfa = Dfa.Explorer.force (Sws_pl.explore sws) in
   List.iter
     (fun w ->
       let direct = Sws_pl.accepts_word sws w in
-      let via_afa = Afa.accepts afa w in
+      let via_afa = Dfa.accepts vdfa (List.rev w) in
       check
         (Fmt.str "%s on %a" name Word_gen.pp_word w)
         direct via_afa)
@@ -250,7 +251,7 @@ let prop_chain_matches_afa =
     (fun sws ->
       (* answer from the chain, not from an earlier equal service's memo *)
       Engine.cache_clear_all ();
-      let afa = Sws_pl.to_afa sws in
+      let afa = Oracle.to_afa sws in
       let decode = List.map (Sws_pl.assignment_of_symbol sws) in
       let witness_agrees =
         match (Decision.pl_non_emptiness sws, Afa.shortest_word afa) with
@@ -263,13 +264,12 @@ let prop_chain_matches_afa =
            (Nfa.canonical_repr (Compose.pl_language_nfa sws))
            (Nfa.canonical_repr (Afa.to_nfa afa)))
 
-(* [to_afa] compiles each query to a predicate on symbol bit masks; its
-   AFA must still read every query as [Prop.eval] does in a direct run. *)
+(* The reference AFA reads every query as a direct run does. *)
 let prop_afa_matches_runs =
   QCheck.Test.make ~count:30 ~name:"to_afa agrees with direct runs (random services)"
     (QCheck.make gen_chain_service)
     (fun sws ->
-      let afa = Sws_pl.to_afa sws in
+      let afa = Oracle.to_afa sws in
       List.for_all
         (fun w -> Sws_pl.accepts_word sws w = Afa.accepts afa w)
         (Word_gen.words_up_to ~alphabet_size:(Sws_pl.alphabet_size sws) 2))
@@ -305,7 +305,7 @@ let gen_afa_of_size k =
 (* Pairs over one alphabet: two random AFAs, or the AFAs of two Roman
    services built from random regexes. *)
 let gen_afa_pair =
-  let roman r = Sws_pl.to_afa (Roman.to_sws_pl (Nfa.of_regex ~alphabet_size:2 r)) in
+  let roman r = Oracle.to_afa (Roman.to_sws_pl (Nfa.of_regex ~alphabet_size:2 r)) in
   QCheck.Gen.(
     oneof
       [
@@ -357,29 +357,106 @@ let kchain_nfa k =
     ~eps_edges:[]
 
 (* The searches compute the rows they reach and no more: on the k = 12
-   chain, a shortest rejected or accepted word costs a small part of the
-   8,193-state vector DFA. *)
+   chain's 8,193-state vector DFA, a shortest rejected word computes no
+   row and a shortest accepted word 2,050. *)
 let test_explorer_is_lazy () =
-  let afa = Sws_pl.to_afa (Reductions.sws_of_afa (Afa.of_nfa (kchain_nfa 12))) in
-  let full = Dfa.num_states (Afa.reverse_vector_dfa afa) in
+  let sws = Reductions.sws_of_afa (Afa.of_nfa (kchain_nfa 12)) in
+  let forced = Sws_pl.explore sws in
+  let full = Dfa.num_states (X.force forced) in
   Alcotest.(check int) "the vector DFA" 8193 full;
-  let k = Afa.alphabet_size afa in
+  Alcotest.(check int) "forcing computes every row" full (X.rows_computed forced);
+  let k = Sws_pl.alphabet_size sws in
   let all_words =
     Dfa.create ~alphabet_size:k ~start:0 ~finals:[ 0 ] ~trans:[| Array.make k 0 |]
   in
-  let rejected = Afa.explore afa in
+  let rejected = Sws_pl.explore sws in
   check "a rejected word" true
     (X.distinguishing_word rejected (X.of_dfa all_words) <> None);
-  let accepted = Afa.explore afa in
+  let accepted = Sws_pl.explore sws in
   (match X.shortest_word accepted with
   | Some w -> Alcotest.(check int) "the shortest accepted word" 14 (List.length w)
   | None -> Alcotest.fail "the k-chain language is not empty");
-  check "rejected: at most one row" true (X.rows_computed rejected <= 1);
-  check "accepted: at most half the rows" true
-    (2 * X.rows_computed accepted < full);
-  let forced = Afa.explore afa in
-  ignore (X.force forced);
-  Alcotest.(check int) "forcing computes every row" full (X.rows_computed forced)
+  Alcotest.(check int) "rejected: no row" 0 (X.rows_computed rejected);
+  Alcotest.(check int) "accepted: 2,050 rows" 2050 (X.rows_computed accepted)
+
+(* Random services straight from Definition 2.1, with every connective
+   of the query language ([Not], [Implies] and [Iff] included): up to
+   four states besides the start, over [nvars] input variables. *)
+let gen_service nvars =
+  let open QCheck.Gen in
+  let inputs = List.init nvars (Printf.sprintf "x%d") in
+  let query leaves =
+    sized_size (0 -- 3)
+    @@ fix (fun self d ->
+           if d = 0 then
+             frequency
+               [ (4, map Prop.var (oneofl leaves));
+                 (1, oneofl [ Prop.True; Prop.False ]) ]
+           else
+             let sub = self (d - 1) in
+             frequency
+               [ (1, map (fun f -> Prop.Not f) sub);
+                 (2, map2 (fun f g -> Prop.And (f, g)) sub sub);
+                 (2, map2 (fun f g -> Prop.Or (f, g)) sub sub);
+                 (1, map2 (fun f g -> Prop.Implies (f, g)) sub sub);
+                 (1, map2 (fun f g -> Prop.Iff (f, g)) sub sub);
+                 (1, self 0) ])
+  in
+  let env = Sws_pl.msg_var :: inputs in
+  1 -- 4 >>= fun n ->
+  let names = List.init n (Printf.sprintf "q%d") in
+  let rule =
+    0 -- 3 >>= function
+    | 0 -> map (fun synth -> { Sws_def.succs = []; synth }) (query env)
+    | m ->
+      list_repeat m (pair (oneofl names) (query env)) >>= fun succs ->
+      map
+        (fun synth -> { Sws_def.succs; synth })
+        (query (List.init m Sws_pl.act_var))
+  in
+  list_repeat (n + 1) rule >>= fun rules ->
+  return
+    (Sws_pl.make ~input_vars:inputs ~start:"s"
+       ~rules:(List.combine ("s" :: names) rules))
+
+(* Two services over one alphabet: random ones over one to three input
+   variables or, so that masks span several words, six to eight (64 to
+   256 symbols); two Roman services; or one of the chain services above
+   twice. *)
+let gen_service_pair =
+  let roman r = Roman.to_sws_pl (Nfa.of_regex ~alphabet_size:2 r) in
+  QCheck.Gen.(
+    oneof
+      [
+        (1 -- 3 >>= fun v -> pair (gen_service v) (gen_service v));
+        (6 -- 8 >>= fun v -> pair (gen_service v) (gen_service v));
+        map2 (fun r1 r2 -> (roman r1, roman r2)) gen_regex gen_regex;
+        map (fun s -> (s, s)) gen_chain_service;
+      ])
+
+(* The bit-sliced explorer steps every vector as the reference AFA does:
+   forced, it is the AFA's vector DFA state for state, and fresh
+   explorers find the same shortest accepted, rejected and
+   distinguishing words. *)
+let prop_explore_matches_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"Sws_pl.explore = the reference AFA's vector DFA (states, witnesses)"
+    (QCheck.make gen_service_pair)
+    (fun (s1, s2) ->
+      let a1 = Oracle.to_afa s1 and a2 = Oracle.to_afa s2 in
+      let k = Sws_pl.alphabet_size s1 in
+      let all_words =
+        X.of_dfa
+          (Dfa.create ~alphabet_size:k ~start:0 ~finals:[ 0 ]
+             ~trans:[| Array.make k 0 |])
+      in
+      same_dfa (X.force (Sws_pl.explore s1)) (Afa.reverse_vector_dfa a1)
+      && same_dfa (X.force (Sws_pl.explore s2)) (Afa.reverse_vector_dfa a2)
+      && X.shortest_word (Sws_pl.explore s1) = X.shortest_word (Afa.explore a1)
+      && X.distinguishing_word (Sws_pl.explore s1) all_words
+         = X.distinguishing_word (Afa.explore a1) all_words
+      && X.distinguishing_word (Sws_pl.explore s1) (Sws_pl.explore s2)
+         = X.distinguishing_word (Afa.explore a1) (Afa.explore a2))
 
 let suite =
   [
@@ -396,6 +473,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chain_matches_afa;
     QCheck_alcotest.to_alcotest prop_afa_matches_runs;
     QCheck_alcotest.to_alcotest prop_explorer_matches_forced;
+    QCheck_alcotest.to_alcotest prop_explore_matches_oracle;
     Alcotest.test_case "the vector DFA is explored lazily" `Quick
       test_explorer_is_lazy;
   ]
