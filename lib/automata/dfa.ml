@@ -354,64 +354,19 @@ let to_nfa d =
   Nfa.create ~num_states:(num_states d) ~alphabet_size:d.alphabet_size
     ~starts:[ d.start ] ~finals:(finals d) ~edges:!edges ~eps_edges:[]
 
-(* Subset construction, on the fly over reachable subsets only.  The
-   frontier is keyed on whole NFA state sets: a hash table over packed bit
-   sets (cached hash, word-wise equality) instead of a balanced map under a
-   set-of-int comparison — this lookup dominates the construction.
-
-   The construction is level-synchronised so it can run on the domain pool:
-   stepping every set of the current BFS level is pure (closures prewarmed)
-   and fans out across domains; the discovery table [ids] is then updated
-   sequentially in (state-id order, symbol order).  A FIFO traversal assigns
-   ids in exactly that order too, so the resulting DFA — state numbering,
-   rows, finals — is bit-identical to the sequential construction at every
-   job count. *)
+(* Subset construction: the explorer over the eps-closed subsets of [n],
+   forced.  A subset is keyed on its packed bit set (cached hash,
+   word-wise equality), and [force] expands rows in id order, so ids are
+   those of a breadth-first construction that discovers a row's
+   successors in ascending symbol order. *)
 let of_nfa n =
-  let module H = Hashtbl.Make (Repr.Bitset) in
   let alphabet_size = Nfa.alphabet_size n in
-  let start_set = Nfa.eps_closure n (Nfa.start_set n) in
-  let ids = H.create 256 in
-  H.replace ids start_set 0;
-  let rows = ref [] in
   let n_finals = Nfa.final_set n in
-  let finals = ref [] in
-  let next_id = ref 1 in
-  if Par.Pool.effective_jobs () > 1 then Nfa.warm_closures n;
-  let expand (set, _) =
-    Array.init alphabet_size (fun a -> Nfa.step n set a)
-  in
-  let rec level frontier =
-    (* frontier: this level's (set, id) pairs in ascending id order *)
-    match frontier with
-    | [] -> ()
-    | _ ->
-      let expansions = Par.Pool.parallel_list_map expand frontier in
-      let next = ref [] in
-      List.iter2
-        (fun (set, i) succs ->
-          if Nfa.Iset.intersects set n_finals then finals := i :: !finals;
-          let row = Array.make alphabet_size 0 in
-          for a = 0 to alphabet_size - 1 do
-            let set' = succs.(a) in
-            row.(a) <-
-              (match H.find_opt ids set' with
-              | Some j -> j
-              | None ->
-                let j = !next_id in
-                incr next_id;
-                H.replace ids set' j;
-                next := (set', j) :: !next;
-                j)
-          done;
-          rows := (i, row) :: !rows)
-        frontier expansions;
-      level (List.rev !next)
-  in
-  level [ (start_set, 0) ];
-  let num = !next_id in
-  let trans = Array.make num [||] in
-  List.iter (fun (i, row) -> trans.(i) <- row) !rows;
-  create ~alphabet_size ~start:0 ~finals:!finals ~trans
+  Explorer.force
+    (Explorer.create ~alphabet_size
+       ~start:(Nfa.eps_closure n (Nfa.start_set n))
+       ~final:(fun s -> Nfa.Iset.intersects s n_finals)
+       ~step:(fun s -> Array.init alphabet_size (Nfa.step n s)))
 
 let pp ppf d =
   Fmt.pf ppf "DFA(states=%d, alphabet=%d, start=%d, finals=%a)" (num_states d)

@@ -92,7 +92,12 @@ val minimize : t -> t
 
 val to_nfa : t -> Nfa.t
 
-(** On-the-fly subset construction. *)
+(** Subset construction: {!Explorer.force} of the explorer over the
+    eps-closed state sets of the NFA, so the DFA holds the reachable
+    subsets only, numbered breadth-first.  {!Explorer} is the one subset
+    search: a question that may stop early ({!Explorer.shortest_word},
+    {!Explorer.distinguishing_word}) runs on an unforced explorer
+    instead.  Sequential: see [Par.Pool] for why. *)
 val of_nfa : Nfa.t -> t
 
 val pp : t Fmt.t

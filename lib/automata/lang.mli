@@ -1,5 +1,5 @@
-(** The lazy language-decision engine: containment, equivalence and
-    emptiness of NFAs decided by on-the-fly product/subset exploration
+(** The lazy language-decision engine: containment and equivalence of
+    NFAs decided by on-the-fly product/subset exploration
     with antichain subsumption — the matching upper-bound technique for
     the EXPTIME lower bound on automata-game composition.
 
@@ -15,56 +15,53 @@
 
     This is the only NFA language engine; it serves composition, RPQ
     containment and regular rewriting.  The SWS(PL, PL) decisions do not
-    use it: they already hold a DFA per service and search its state
-    pairs ({!Dfa.distinguishing_word}).  Full determinization and the DFA
+    use it: they explore each service's vector DFA on demand and search
+    its state pairs ({!Dfa.Explorer.distinguishing_word}).  The two
+    searches share one hook idiom (below).  Full determinization and the DFA
     product ({!Dfa.of_nfa}, {!Dfa.diff}) are its test oracle, not an
     alternative to it.  Exploration is sequential and deterministic:
     verdicts and witness words are identical at every domain-pool size. *)
 
-(** Exploration limits ([None] = unlimited), checked as the engine
-    explores. *)
-type limits = {
-  max_states : int option;  (** product pairs expanded *)
-  max_depth : int option;  (** BFS depth = witness word length *)
-  deadline_s : float option;  (** wall clock from the call *)
-}
+(** {1 Metering}
 
-val no_limits : limits
-val limits : ?max_states:int -> ?max_depth:int -> ?deadline_s:float -> unit -> limits
+    Every function below takes the hooks of
+    {!Dfa.Explorer.distinguishing_word}, with the same meaning:
+    [on_level depth] runs before the first pair reached by words of
+    length [depth - 1] is expanded, [on_pair] once per expanded pair.
+    The engine has no budget of its own; a caller meters the search
+    through the hooks and stops it by raising, and the exception
+    propagates.  A stopped search returns nothing, so it is never
+    mistaken for a verdict. *)
 
-(** A tripped exploration: which limit stopped it and how far it got.
-    A trip is the only alternative to a sound verdict — the engine never
-    converts an exhausted search into a Yes or a No. *)
-type trip = {
-  tripped : [ `States | `Depth | `Deadline ];
-  depth_reached : int;
-  states_explored : int;
-}
-
-val pp_trip : trip Fmt.t
-
-type 'a run = ('a, trip) result
-
-(** [contains_cex sup sub] decides [L(sub) <= L(sup)]: [Ok None] when
-    contained, [Ok (Some w)] with [w] a shortest word of [L(sub) \ L(sup)]
+(** [contains_cex sup sub] decides [L(sub) <= L(sup)]: [None] when
+    contained, [Some w] with [w] a shortest word of [L(sub) \ L(sup)]
     otherwise.  Raises [Invalid_argument] when the alphabets differ. *)
-val contains_cex : ?limits:limits -> Nfa.t -> Nfa.t -> int list option run
+val contains_cex :
+  ?on_level:(int -> unit) ->
+  ?on_pair:(unit -> unit) ->
+  Nfa.t ->
+  Nfa.t ->
+  int list option
 
-val contains : ?limits:limits -> Nfa.t -> Nfa.t -> bool run
+val contains :
+  ?on_level:(int -> unit) -> ?on_pair:(unit -> unit) -> Nfa.t -> Nfa.t -> bool
 
-(** [equivalent_cex n1 n2]: [Ok None] when the languages coincide,
-    [Ok (Some w)] with [w] accepted by exactly one of the two otherwise.
-    Containment is checked [L(n1) <= L(n2)] first, then the converse, so
-    the witness is a shortest word of the first non-empty difference, not
-    necessarily a shortest distinguishing word ({!Dfa.distinguishing_word}
-    finds one of those on DFAs). *)
-val equivalent_cex : ?limits:limits -> Nfa.t -> Nfa.t -> int list option run
+(** [equivalent_cex n1 n2]: [None] when the languages coincide, [Some w]
+    with [w] accepted by exactly one of the two otherwise.  Containment
+    is checked [L(n1) <= L(n2)] first, then the converse, so the witness
+    is a shortest word of the first non-empty difference, not
+    necessarily a shortest distinguishing word
+    ({!Dfa.distinguishing_word} finds one of those on DFAs).  Both
+    containment searches run under the same hooks. *)
+val equivalent_cex :
+  ?on_level:(int -> unit) ->
+  ?on_pair:(unit -> unit) ->
+  Nfa.t ->
+  Nfa.t ->
+  int list option
 
-val equivalent : ?limits:limits -> Nfa.t -> Nfa.t -> bool run
-
-(** Metered emptiness: a reachability fixpoint on eps-closed state sets,
-    no determinization. *)
-val is_empty : ?limits:limits -> Nfa.t -> bool run
+val equivalent :
+  ?on_level:(int -> unit) -> ?on_pair:(unit -> unit) -> Nfa.t -> Nfa.t -> bool
 
 (** {1 Process-wide gauges}  Read at snapshot time by [Engine.Stats] and
     the server's telemetry registry, like the interner and bit-set

@@ -109,7 +109,11 @@ let canonical_repr n =
       eps_edges )
     [ Marshal.No_sharing ]
 
-(* Memoized per-state epsilon closure (includes the state itself). *)
+(* Memoized per-state epsilon closure (includes the state itself).  The
+   memo write is a benign race when one automaton is read from several
+   domains (a registered service's NFA, shared by concurrent requests):
+   every filler computes the same closure, and a cell holds an immutable
+   value, so a reader sees [None] or a complete closure. *)
 let closure_of_state n q =
   match n.closures.(q) with
   | Some c -> c
@@ -126,16 +130,6 @@ let closure_of_state n q =
     let c = go (Iset.singleton q) (Iset.singleton q) in
     n.closures.(q) <- Some c;
     c
-
-(* Fill the closure memo for every state.  Called before handing the
-   automaton to a domain pool: the memo write in [closure_of_state] is a
-   benign race (every filler computes the same closure), but filling it
-   sequentially first keeps the parallel sections free of shared-state
-   writes entirely. *)
-let warm_closures n =
-  for q = 0 to n.num_states - 1 do
-    ignore (closure_of_state n q)
-  done
 
 (* Results are built in one accumulator: each successor's memoized
    closure is ORed in place, so a step allocates its result set once
@@ -187,54 +181,6 @@ let is_empty n =
     end
   in
   go n.starts n.starts
-
-(* Shortest accepted word, if any: BFS over the subset construction keyed on
-   whole state sets (cached Bitset hash), producing a witness used to report
-   counterexamples from the decision procedures.
-
-   The level loop is the pool's [parallel_frontier]: stepping the current
-   level's sets happens across domains, while dedup against [seen] and the
-   finals check run sequentially in (state order, symbol order) — the same
-   order the sequential BFS visited discoveries, so the returned witness is
-   identical at every job count. *)
-let shortest_word n =
-  if is_empty n then None
-  else begin
-    let module H = Hashtbl.Make (Repr.Bitset) in
-    let start = eps_closure n n.starts in
-    if Iset.intersects start n.finals then Some []
-    else begin
-      if Par.Pool.effective_jobs () > 1 then warm_closures n;
-      let seen = H.create 64 in
-      H.replace seen start ();
-      let witness = ref None in
-      let expand (set, w) =
-        (* racy read of [witness] is a pure work-skip: a stale [None] only
-           means this expansion is discarded by [register] below *)
-        if !witness <> None then []
-        else begin
-          let rec try_syms a acc =
-            if a < 0 then acc
-            else try_syms (a - 1) ((step n set a, a :: w) :: acc)
-          in
-          try_syms (n.alphabet_size - 1) []
-        end
-      in
-      let register (set', w) =
-        if !witness <> None || Iset.is_empty set' || H.mem seen set' then None
-        else begin
-          H.replace seen set' ();
-          if Iset.intersects set' n.finals then begin
-            witness := Some w;
-            None
-          end
-          else Some (set', w)
-        end
-      in
-      Par.Pool.parallel_frontier ~expand ~register ~roots:[ (start, []) ];
-      Option.map List.rev !witness
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Combinators (Thompson-style, with state renumbering)                *)

@@ -3,7 +3,11 @@
 
     State sets are packed bit sets ({!Repr.Bitset}); [Iset] is an alias, so
     existing [Nfa.Iset.mem]/[iter]/[elements] call sites read unchanged.
-    Per-state epsilon closures are memoized inside each automaton. *)
+    Per-state epsilon closures are memoized inside each automaton.
+
+    This module steps sets; it runs no subset search of its own.  The
+    one subset search is [Dfa.Explorer]: [Dfa.of_nfa] forces it over
+    {!eps_closure} of the start set and {!step}. *)
 
 module Iset = Repr.Bitset
 
@@ -38,12 +42,10 @@ val edges : t -> (int * int * int) list
     (DESIGN.md §4h). *)
 val canonical_repr : t -> string
 
-(** Epsilon closure of one state (memoized per automaton). *)
+(** Epsilon closure of one state, memoized per automaton.  Safe to call
+    on one automaton from several domains: the memo write is a benign
+    race (every writer stores the same immutable closure). *)
 val closure_of_state : t -> int -> Iset.t
-
-(** Fill the per-state closure memo for every state.  Called before a
-    parallel section so worker domains only ever read the memo. *)
-val warm_closures : t -> unit
 
 val eps_closure : t -> Iset.t -> Iset.t
 
@@ -55,11 +57,9 @@ val step : t -> Iset.t -> int -> Iset.t
 val post : t -> int -> int -> Iset.t
 
 val accepts : t -> int list -> bool
-val is_empty : t -> bool
 
-(** Shortest accepted word (BFS over the subset construction): the
-    counterexample witness reported by the decision procedures. *)
-val shortest_word : t -> int list option
+(** Emptiness by reachability over single states, no subset search. *)
+val is_empty : t -> bool
 
 val empty : int -> t
 val epsilon : int -> t

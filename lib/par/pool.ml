@@ -4,9 +4,7 @@
 
    1. Determinism.  Work is split into contiguous chunks and results are
       reassembled in chunk order on the calling domain, so outputs never
-      depend on scheduling.  All order-sensitive mutation (id assignment in
-      subset construction, successor registration) happens sequentially on
-      the caller via [parallel_frontier]'s [register].
+      depend on scheduling.
 
    2. Bit-identical sequential mode.  When the effective job count is 1 the
       combinators run plain inline loops: no tasks, no locks, no domains.
@@ -255,22 +253,3 @@ let parallel_list_map f xs =
   | [] -> []
   | [ x ] -> [ f x ]
   | _ -> Array.to_list (parallel_map f (Array.of_list xs))
-
-let parallel_frontier ~expand ~register ~roots =
-  let rec level frontier =
-    match frontier with
-    | [] -> ()
-    | _ ->
-      let expansions = parallel_list_map expand frontier in
-      let next =
-        List.fold_left
-          (fun acc ds ->
-            List.fold_left
-              (fun acc d ->
-                match register d with Some s -> s :: acc | None -> acc)
-              acc ds)
-          [] expansions
-      in
-      level (List.rev next)
-  in
-  level roots

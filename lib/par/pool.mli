@@ -14,13 +14,17 @@
     inline loop on the calling domain — no pool, no locks, no domains —
     which is what makes [--jobs 1] bit-identical to the pre-pool code.
 
-    Parallelism inside a kernel has one grain, a data-parallel split of
-    one step: a BFS level ([Dfa.of_nfa], and [Nfa.shortest_word] through
-    {!parallel_frontier}) or a join's root branches ([Cq]).  Candidate
-    scans (MDT_b plans, UCQ disjuncts, mediators) stay sequential: on two
-    cores, rounds of candidates handed to the pool lost to the plain loop
-    or gained at most 0.05 ms a call (EXPERIMENTS.md).  The server's
-    request hop is {!async}. *)
+    One kernel is data-parallel: [Cq]'s join fans its root branches out
+    through {!parallel_list_map}.  The subset construction is sequential
+    ([Dfa.Explorer], behind [Dfa.of_nfa] and every shortest-word and
+    pair search): a BFS level split read 1.04-1.18x at two jobs on two
+    cores, the server runs each request inside a pool task where the
+    split runs inline anyway, and a lazy search that stops at its first
+    witness has no level to split.  Candidate scans (MDT_b plans, UCQ
+    disjuncts, mediators) stay sequential too: on two cores, rounds of
+    candidates handed to the pool lost to the plain loop or gained at
+    most 0.05 ms a call (EXPERIMENTS.md).  The server's request hop is
+    {!async}. *)
 
 val default_jobs : unit -> int
 (** Job count used when {!set_jobs} has not been called: [SWS_JOBS] from the
@@ -75,18 +79,3 @@ val parallel_map : ('a -> 'b) -> 'a array -> 'b array
 
 val parallel_list_map : ('a -> 'b) -> 'a list -> 'b list
 (** {!parallel_map} for lists (input order preserved). *)
-
-val parallel_frontier :
-  expand:('s -> 'd list) ->
-  register:('d -> 's option) ->
-  roots:'s list ->
-  unit
-(** Level-synchronised BFS worklist.  Each round expands every state of the
-    current frontier across the pool ([expand], run concurrently, must be
-    effect-free on shared state), then registers the discoveries sequentially
-    on the calling domain in (state order, discovery order) — exactly the
-    order a sequential FIFO traversal would produce, so id assignment done
-    inside [register] is deterministic and independent of the job count.
-    [register] returns [Some s'] to enqueue a newly-discovered state for the
-    next level, [None] for an already-known discovery.  Terminates when a
-    level registers no fresh states. *)

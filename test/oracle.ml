@@ -75,8 +75,67 @@ let datalog_eval program edb =
   in
   round (R.Database.fold R.Database.set edb (R.Database.empty schema))
 
+module Nfa = Automata.Nfa
 module Dfa = Automata.Dfa
 module Afa = Automata.Afa
+
+(* Equal state for state: the same start, finals and every row. *)
+let same_dfa d e =
+  Dfa.num_states d = Dfa.num_states e
+  && Dfa.alphabet_size d = Dfa.alphabet_size e
+  && Dfa.start d = Dfa.start e
+  && Dfa.finals d = Dfa.finals e
+  && List.for_all
+       (fun q ->
+         List.for_all
+           (fun a -> Dfa.delta d q a = Dfa.delta e q a)
+           (List.init (Dfa.alphabet_size d) Fun.id))
+       (List.init (Dfa.num_states d) Fun.id)
+
+(* The level-synchronised subset construction, run on one domain: every
+   set of a breadth-first level is stepped on each symbol, then the
+   level's successors get ids in (set id, symbol) order.  A set is final
+   when it meets the NFA's finals. *)
+let of_nfa n =
+  let module H = Hashtbl.Make (Repr.Bitset) in
+  let alphabet_size = Nfa.alphabet_size n in
+  let start_set = Nfa.eps_closure n (Nfa.start_set n) in
+  let ids = H.create 256 in
+  H.replace ids start_set 0;
+  let rows = ref [] and finals = ref [] and next_id = ref 1 in
+  let rec level = function
+    | [] -> ()
+    | frontier ->
+      let expansions =
+        List.map
+          (fun (set, _) -> Array.init alphabet_size (fun a -> Nfa.step n set a))
+          frontier
+      in
+      let next = ref [] in
+      List.iter2
+        (fun (set, i) succs ->
+          if Nfa.Iset.intersects set (Nfa.final_set n) then finals := i :: !finals;
+          let row =
+            Array.map
+              (fun set' ->
+                match H.find_opt ids set' with
+                | Some j -> j
+                | None ->
+                  let j = !next_id in
+                  incr next_id;
+                  H.replace ids set' j;
+                  next := (set', j) :: !next;
+                  j)
+              succs
+          in
+          rows := (i, row) :: !rows)
+        frontier expansions;
+      level (List.rev !next)
+  in
+  level [ (start_set, 0) ];
+  let trans = Array.make !next_id [||] in
+  List.iter (fun (i, row) -> trans.(i) <- row) !rows;
+  Dfa.create ~alphabet_size ~start:0 ~finals:!finals ~trans
 
 (* The k-prefix bound by its definition: a state is trivial when every
    state reachable from it shares its finality (one search per state),

@@ -41,6 +41,60 @@ let test_subset_construction () =
     (fun w -> check "dfa = nfa" (Nfa.accepts nfa w) (Dfa.accepts dfa w))
     (all_words 6)
 
+(* The adversarial chain family ("k-th symbol from the end is 'a'",
+   minimal DFA 2^k states): the lazy engine must clear k = 16, past the
+   wall where eager determinization stops being testable. *)
+let kth_from_end_nfa k =
+  let edges =
+    (0, 0, 0) :: (0, 1, 0) :: (0, 0, 1)
+    :: List.concat_map
+         (fun i -> [ (i, 0, i + 1); (i, 1, i + 1) ])
+         (List.init (k - 1) (fun i -> i + 1))
+  in
+  Nfa.create ~num_states:(k + 1) ~alphabet_size:2 ~starts:[ 0 ] ~finals:[ k ]
+    ~edges ~eps_edges:[]
+
+(* [Dfa.of_nfa] is the explorer over eps-closed subsets, forced; it must
+   give the level-synchronised construction's DFA state for state (start,
+   finals, every row) on arbitrary NFAs: eps edges and cycles, states
+   with no successor on a symbol, empty start sets, one to three
+   letters. *)
+let gen_subset_nfa =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun n ->
+    int_range 1 3 >>= fun k ->
+    list_size (int_range 0 (3 * n))
+      (triple (int_range 0 (n - 1)) (int_range 0 (k - 1)) (int_range 0 (n - 1)))
+    >>= fun edges ->
+    list_size (int_range 0 4) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+    >>= fun eps_edges ->
+    list_size (int_range 0 2) (int_range 0 (n - 1)) >>= fun starts ->
+    list_size (int_range 0 n) (int_range 0 (n - 1)) >>= fun finals ->
+    return
+      (Nfa.create ~num_states:n ~alphabet_size:k ~starts ~finals ~edges
+         ~eps_edges))
+
+let prop_subset_construction_reference =
+  QCheck.Test.make ~count:500
+    ~name:"subset construction = the level-synchronised reference"
+    (QCheck.make ~print:(Fmt.to_to_string Nfa.pp) gen_subset_nfa)
+    (fun n -> Oracle.same_dfa (Dfa.of_nfa n) (Oracle.of_nfa n))
+
+(* The k-th-symbol-from-the-end chain, 2^k subsets, and a regex NFA with
+   eps edges, against the same reference. *)
+let test_subset_construction_kchain () =
+  List.iter
+    (fun k ->
+      let n = kth_from_end_nfa k in
+      let d = Dfa.of_nfa n in
+      Alcotest.(check int) (Printf.sprintf "k=%d: 2^k states" k) (1 lsl k)
+        (Dfa.num_states d);
+      check (Printf.sprintf "k=%d = reference" k) true
+        (Oracle.same_dfa d (Oracle.of_nfa n)))
+    [ 4; 8; 12 ];
+  let n = nfa_of "((a|b)*c(a|1))*b" in
+  check "regex = reference" true (Oracle.same_dfa (Dfa.of_nfa n) (Oracle.of_nfa n))
+
 let test_minimize () =
   let dfa = Dfa.of_nfa (nfa_of "(a|b)*abb") in
   let m = Dfa.minimize dfa in
@@ -152,10 +206,6 @@ let test_afa_emptiness_witness () =
 
 module Lang = Automata.Lang
 
-let ok = function
-  | Ok v -> v
-  | Error _ -> Alcotest.fail "unexpected budget trip under no_limits"
-
 (* Random well-formed regex strings over a..c (plus epsilon leaves). *)
 let regex_gen =
   QCheck.Gen.(
@@ -204,9 +254,9 @@ let prop_lang_agrees_regex =
   QCheck.Test.make ~count:600 ~name:"lang antichain = eager (regex pairs)"
     (QCheck.make regex_pair_gen) (fun (s1, s2) ->
       let n1 = nfa_of s1 and n2 = nfa_of s2 in
-      Bool.equal (ok (Lang.contains n1 n2)) (Oracle.Eager.nfa_contains n1 n2)
-      && Bool.equal (ok (Lang.contains n2 n1)) (Oracle.Eager.nfa_contains n2 n1)
-      && Bool.equal (ok (Lang.equivalent n1 n2)) (Oracle.Eager.nfa_equivalent n1 n2))
+      Bool.equal (Lang.contains n1 n2) (Oracle.Eager.nfa_contains n1 n2)
+      && Bool.equal (Lang.contains n2 n1) (Oracle.Eager.nfa_contains n2 n1)
+      && Bool.equal (Lang.equivalent n1 n2) (Oracle.Eager.nfa_equivalent n1 n2))
 
 (* Same agreement on arbitrary (not regex-shaped) NFAs: junk states,
    unreachable finals, epsilon cycles, empty languages. *)
@@ -214,9 +264,9 @@ let prop_lang_agrees_random_nfa =
   QCheck.Test.make ~count:400 ~name:"lang antichain = eager (random nfas)"
     (QCheck.make nfa_pair_gen) (fun (r1, r2) ->
       let n1 = build_nfa r1 and n2 = build_nfa r2 in
-      Bool.equal (ok (Lang.contains n1 n2)) (Oracle.Eager.nfa_contains n1 n2)
-      && Bool.equal (ok (Lang.equivalent n1 n2)) (Oracle.Eager.nfa_equivalent n1 n2)
-      && Bool.equal (ok (Lang.is_empty n1)) (Nfa.is_empty n1))
+      Bool.equal (Lang.contains n1 n2) (Oracle.Eager.nfa_contains n1 n2)
+      && Bool.equal (Lang.equivalent n1 n2) (Oracle.Eager.nfa_equivalent n1 n2)
+      && Bool.equal (Nfa.is_empty n1) (Dfa.is_empty (Dfa.of_nfa n1)))
 
 (* Counterexample validity and minimality: a containment witness lies in
    L(sub) \ L(sup) and has the length of the eager engine's shortest
@@ -226,7 +276,7 @@ let prop_lang_cex_valid =
     (QCheck.make regex_pair_gen) (fun (s1, s2) ->
       let n1 = nfa_of s1 and n2 = nfa_of s2 in
       let contain_ok =
-        match ok (Lang.contains_cex n1 n2) with
+        match Lang.contains_cex n1 n2 with
         | None -> Oracle.Eager.nfa_contains n1 n2
         | Some w ->
           Nfa.accepts n2 w
@@ -236,7 +286,7 @@ let prop_lang_cex_valid =
              | None -> false)
       in
       let equiv_ok =
-        match ok (Lang.equivalent_cex n1 n2) with
+        match Lang.equivalent_cex n1 n2 with
         | None -> Oracle.Eager.nfa_equivalent n1 n2
         | Some w ->
           not (Bool.equal (Nfa.accepts n1 w) (Nfa.accepts n2 w))
@@ -260,7 +310,7 @@ let prop_distinguishing_word_shortest =
           (fun w -> not (Bool.equal (Dfa.accepts d1 w) (Dfa.accepts d2 w)))
           (all_words bound)
       in
-      match (Dfa.distinguishing_word d1 d2, ok (Lang.equivalent_cex n1 n2)) with
+      match (Dfa.distinguishing_word d1 d2, Lang.equivalent_cex n1 n2) with
       | None, None -> brute = None
       | Some w, Some w' ->
         (not (Bool.equal (Dfa.accepts d1 w) (Dfa.accepts d2 w)))
@@ -270,39 +320,46 @@ let prop_distinguishing_word_shortest =
         && List.length w <= List.length w'
       | _ -> false)
 
-(* Budget soundness: a tripped exploration is an [Error], never a wrong
-   verdict; whenever the metered run does answer, the answer matches the
-   unlimited one. *)
+(* Metering by hooks: an [on_pair] that raises after [max_states] pairs
+   stops the search with its own exception, never with a verdict, and
+   whenever the hooked run does answer, the answer is the unhooked one.
+   [on_level] counts the levels: a containment witness is found while
+   the level below its length is expanded, so the last depth announced
+   is the witness's length. *)
 let prop_lang_budget_sound =
   QCheck.Test.make ~count:200 ~name:"lang budget trips are never verdicts"
     (QCheck.make (QCheck.Gen.pair regex_pair_gen (QCheck.Gen.int_range 1 4)))
     (fun ((s1, s2), max_states) ->
       let n1 = nfa_of s1 and n2 = nfa_of s2 in
-      let limits = Lang.limits ~max_states () in
-      match Lang.equivalent ~limits n1 n2 with
-      | Error t -> t.Lang.states_explored <= max_states
-      | Ok v -> Bool.equal v (ok (Lang.equivalent n1 n2)))
-
-(* The adversarial chain family ("k-th symbol from the end is 'a'",
-   minimal DFA 2^k states): the lazy engine must clear k = 16, past the
-   wall where eager determinization stops being testable. *)
-let kth_from_end_nfa k =
-  let edges =
-    (0, 0, 0) :: (0, 1, 0) :: (0, 0, 1)
-    :: List.concat_map
-         (fun i -> [ (i, 0, i + 1); (i, 1, i + 1) ])
-         (List.init (k - 1) (fun i -> i + 1))
-  in
-  Nfa.create ~num_states:(k + 1) ~alphabet_size:2 ~starts:[ 0 ] ~finals:[ k ]
-    ~edges ~eps_edges:[]
+      let exception Stop in
+      let pairs = ref 0 in
+      let on_pair () =
+        if !pairs >= max_states then raise Stop;
+        incr pairs
+      in
+      let stopped_or_same =
+        match Lang.equivalent ~on_pair n1 n2 with
+        | exception Stop -> !pairs = max_states
+        | v -> Bool.equal v (Lang.equivalent n1 n2)
+      in
+      let levels = ref [] in
+      let on_level d = levels := d :: !levels in
+      let levels_ok =
+        match Lang.contains_cex ~on_level n1 n2 with
+        | Some w ->
+          List.rev !levels = List.init (List.length w) (fun i -> i + 1)
+        | None ->
+          List.rev !levels = List.init (List.length !levels) (fun i -> i + 1)
+      in
+      stopped_or_same && levels_ok)
 
 let test_lang_kchain_16 () =
   let n = kth_from_end_nfa 16 in
   check "k=16 self-union equivalent" true
-    (ok (Lang.equivalent n (Nfa.union n n)));
+    (Lang.equivalent n (Nfa.union n n));
   check "k=16 vs k=17 inequivalent" false
-    (ok (Lang.equivalent n (kth_from_end_nfa 17)));
-  match ok (Lang.contains_cex (kth_from_end_nfa 17) n) with
+    (Lang.equivalent n (kth_from_end_nfa 17));
+  match Lang.contains_cex (kth_from_end_nfa 17) n with
   | Some w -> check "cex valid at k=16" true (Nfa.accepts n w)
   | None -> Alcotest.fail "expected a containment counterexample"
 
@@ -322,7 +379,7 @@ let test_lang_jobs_deterministic () =
     List.map
       (fun (s1, s2) ->
         let n1 = nfa_of s1 and n2 = nfa_of s2 in
-        (ok (Lang.equivalent_cex n1 n2), ok (Lang.contains_cex n1 n2)))
+        (Lang.equivalent_cex n1 n2, Lang.contains_cex n1 n2))
       pairs
   in
   let before = Par.Pool.jobs () in
@@ -340,6 +397,9 @@ let suite =
     Alcotest.test_case "regex parse" `Quick test_regex_parse;
     QCheck_alcotest.to_alcotest prop_nfa_matches_derivative;
     Alcotest.test_case "subset construction" `Quick test_subset_construction;
+    QCheck_alcotest.to_alcotest prop_subset_construction_reference;
+    Alcotest.test_case "subset construction = reference on k-chains" `Quick
+      test_subset_construction_kchain;
     Alcotest.test_case "minimize" `Quick test_minimize;
     Alcotest.test_case "boolean ops" `Quick test_boolean_ops;
     Alcotest.test_case "witness words" `Quick test_witness_words;

@@ -118,6 +118,30 @@ let test_compose_or_impossible () =
   | None -> ()
   | Some { Compose.exact; _ } -> check "not exact" false exact
 
+(* The suffix family (a|b)*a(a|b)^n over views a and b: minimal-prefix
+   views have no dead state for the expansion's subsets to collect, so
+   at n = 2 the expansion determinizes to 17 states (13,938 with the
+   minimal DFA's dead sink left in each view copy).  The views keep
+   their languages, so the mediator is the same. *)
+let test_minimal_prefix_dead_state () =
+  let goal = nfa "(a|b)*a(a|b)(a|b)" in
+  let views = List.map (fun s -> Compose.minimal_prefix_nfa (nfa s)) [ "a"; "b" ] in
+  List.iter2
+    (fun v s -> check ("view " ^ s) true (Automata.Lang.equivalent v (nfa s)))
+    views [ "a"; "b" ];
+  let m = Rewriting.Regex_rewrite.maximal_rewriting ~target:goal ~views in
+  let e = Rewriting.Regex_rewrite.expansion ~views m in
+  Alcotest.(check int) "expansion subsets" 17 (Dfa.num_states (Dfa.of_nfa e));
+  match
+    Compose.compose_nfa_or ~goal
+      ~components:[ ("a", nfa "a"); ("b", nfa "b") ]
+      ()
+  with
+  | Some { Compose.exact = true; mediator; _ } ->
+    Alcotest.(check int) "mediator states" (Dfa.num_states m)
+      (Dfa.num_states mediator)
+  | _ -> Alcotest.fail "expected an exact composition"
+
 (* PL goal service end-to-end: the sequential check "x in the first
    message, then y in the second" composed from two one-step checkers
    (the Figure 1(a)-style decomposition). *)
@@ -181,6 +205,22 @@ let test_compose_mdtb () =
     check "plan space ran dry" true (e.Sws.Engine.limit = `Candidates)
   | Compose.Found _ -> Alcotest.fail "three invocations cannot fit in bound 2"
 
+(* With the memo off (a stored answer satisfies any deadline), a deadline
+   already spent is a [Deadline] trip, never a verdict, on the boolean
+   instance above, which an undeadlined run solves. *)
+let test_mdtb_deadline_passed () =
+  let goal = nfa "aa" and components = [ ("c1", nfa "a(a|b)"); ("c2", nfa "(a|b)a") ] in
+  let run budget = Compose.compose_mdtb ~goal ~components ~budget () in
+  Engine.set_caching false;
+  Fun.protect ~finally:(fun () -> Engine.set_caching true) @@ fun () ->
+  (match run (Engine.Budget.make ~max_depth:1 ~deadline_s:0. ()) with
+  | Compose.No_mediator_within_bound e ->
+    check "limit Deadline" true (e.Engine.limit = `Deadline)
+  | Compose.Found _ -> Alcotest.fail "a spent deadline found a plan");
+  match run (Engine.Budget.of_depth 1) with
+  | Compose.Found _ -> ()
+  | Compose.No_mediator_within_bound _ -> Alcotest.fail "expected a boolean plan"
+
 (* [compose_mdtb]'s candidate plans, in its order: chains of length <=
    [bound], then each boolean combination of two chains. *)
 let mdtb_candidates ~bound names =
@@ -215,7 +255,6 @@ let mdtb_reference ~bound ~max_nodes ~goal ~components =
     Automata.Lang.equivalent
       (Compose.plan_language_nfa ~env ~alphabet_size plan)
       goal
-    = Ok true
   in
   let rec go checked = function
     | [] -> `Exhausted (`Candidates, checked)
@@ -508,7 +547,11 @@ let suite =
     Alcotest.test_case "compose or two components" `Quick test_compose_or_two_components;
     Alcotest.test_case "compose or impossible" `Quick test_compose_or_impossible;
     Alcotest.test_case "compose or pl goal" `Slow test_compose_or_pl_goal;
+    Alcotest.test_case "minimal-prefix views drop the dead state" `Quick
+      test_minimal_prefix_dead_state;
     Alcotest.test_case "compose mdtb" `Quick test_compose_mdtb;
+    Alcotest.test_case "mdtb with a spent deadline trips Deadline" `Quick
+      test_mdtb_deadline_passed;
     Alcotest.test_case "compose cq" `Quick test_compose_cq;
     Alcotest.test_case "compose cq impossible" `Quick test_compose_cq_impossible;
     Alcotest.test_case "bounded search" `Quick test_bounded_search;

@@ -98,8 +98,8 @@ let prop_pl_witnesses_shortest =
             Automata.Lang.equivalent_cex (Compose.pl_language_nfa s1)
               (Compose.pl_language_nfa s2) )
         with
-        | Decision.Equivalent, Ok None -> brute = None
-        | Decision.Inequivalent w, Ok (Some w') ->
+        | Decision.Equivalent, None -> brute = None
+        | Decision.Inequivalent w, Some w' ->
           Sws_pl.run s1 w <> Sws_pl.run s2 w
           && shortest (List.length w) brute
           && List.length w <= List.length w'

@@ -1,9 +1,8 @@
 (* Agreement suites for the multicore kernel (lib/par) and the parallel
    paths wired through it.  The sequential run is the reference semantics:
    every property forces --jobs 1 and --jobs 4 explicitly and demands
-   identical answers — identical DFAs from determinization, identical
-   witnesses from the shortest-word BFS, identical substitution lists from
-   the indexed join, and identical outcomes (budget trips included) from
+   identical answers — identical DFAs from determinization (sequential at
+   every job count), identical substitution lists from the indexed join, and identical outcomes (budget trips included) from
    the candidate scans, which run sequentially at every job count.  A
    separate stress test hammers the interner and the scan-array cache from
    eight raw domains. *)
@@ -69,18 +68,6 @@ let test_combinator_edges () =
 (* Determinization: identical DFAs at every job count                   *)
 (* ------------------------------------------------------------------ *)
 
-let dfa_identical d1 d2 =
-  Dfa.num_states d1 = Dfa.num_states d2
-  && Dfa.alphabet_size d1 = Dfa.alphabet_size d2
-  && Dfa.start d1 = Dfa.start d2
-  && Dfa.finals d1 = Dfa.finals d2
-  && List.for_all
-       (fun q ->
-         List.for_all
-           (fun a -> Dfa.delta d1 q a = Dfa.delta d2 q a)
-           (List.init (Dfa.alphabet_size d1) Fun.id))
-       (List.init (Dfa.num_states d1) Fun.id)
-
 (* Random NFAs: a state count plus raw edge data clamped by mod, so the
    generator stays independent of the size draw. *)
 let gen_raw_nfa =
@@ -105,7 +92,7 @@ let prop_dfa_jobs_agree =
       let nfa = build_nfa raw in
       let d1 = with_jobs 1 (fun () -> Dfa.of_nfa nfa) in
       let d4 = with_jobs 4 (fun () -> Dfa.of_nfa nfa) in
-      dfa_identical d1 d4)
+      Oracle.same_dfa d1 d4)
 
 (* The exponential family from the benchmark: "k-th symbol from the end",
    whose DFA needs 2^k states — the uncached determinization hot loop. *)
@@ -127,21 +114,12 @@ let test_dfa_exponential_family () =
       let d4 = with_jobs 4 (fun () -> Dfa.of_nfa nfa) in
       check
         (Printf.sprintf "k=%d DFAs identical" k)
-        true (dfa_identical d1 d4);
+        true (Oracle.same_dfa d1 d4);
       check
         (Printf.sprintf "k=%d has 2^%d states" k k)
         true
         (Dfa.num_states d1 = 1 lsl k))
     [ 4; 6; 8 ]
-
-let prop_shortest_word_jobs_agree =
-  QCheck.Test.make ~count:120
-    ~name:"nfa shortest_word: jobs 4 returns the jobs-1 witness"
-    (QCheck.make gen_raw_nfa)
-    (fun raw ->
-      let nfa = build_nfa raw in
-      with_jobs 1 (fun () -> Nfa.shortest_word nfa)
-      = with_jobs 4 (fun () -> Nfa.shortest_word nfa))
 
 (* ------------------------------------------------------------------ *)
 (* Indexed joins: identical relations, oracle answers                   *)
@@ -442,7 +420,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dfa_jobs_agree;
     Alcotest.test_case "exponential determinization family" `Quick
       test_dfa_exponential_family;
-    QCheck_alcotest.to_alcotest prop_shortest_word_jobs_agree;
     QCheck_alcotest.to_alcotest prop_cq_jobs_agree;
     Alcotest.test_case "candidate scans agree across job counts" `Quick
       test_candidate_scans_agree;

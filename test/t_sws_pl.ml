@@ -313,17 +313,6 @@ let gen_afa_pair =
         map2 (fun r1 r2 -> (roman r1, roman r2)) gen_regex gen_regex;
       ])
 
-let same_dfa d e =
-  Dfa.num_states d = Dfa.num_states e
-  && Dfa.start d = Dfa.start e
-  && Dfa.finals d = Dfa.finals e
-  && List.for_all
-       (fun q ->
-         List.for_all
-           (fun a -> Dfa.delta d q a = Dfa.delta e q a)
-           (List.init (Dfa.alphabet_size d) Fun.id))
-       (List.init (Dfa.num_states d) Fun.id)
-
 (* A fresh explorer answers every question as the fully built DFA does:
    the shortest accepted, rejected and distinguishing words are equal,
    though the explorer numbers states in its search's order.  Forcing
@@ -338,8 +327,8 @@ let prop_explorer_matches_forced =
       let all_words =
         Dfa.create ~alphabet_size:k ~start:0 ~finals:[ 0 ] ~trans:[| Array.make k 0 |]
       in
-      same_dfa d1 (Oracle.reverse_vector_dfa a1)
-      && same_dfa d2 (Oracle.reverse_vector_dfa a2)
+      Oracle.same_dfa d1 (Oracle.reverse_vector_dfa a1)
+      && Oracle.same_dfa d2 (Oracle.reverse_vector_dfa a2)
       && X.shortest_word (Afa.explore a1) = Dfa.shortest_word d1
       && X.distinguishing_word (Afa.explore a1) (X.of_dfa all_words)
          = Dfa.distinguishing_word d1 all_words
@@ -450,8 +439,8 @@ let prop_explore_matches_oracle =
           (Dfa.create ~alphabet_size:k ~start:0 ~finals:[ 0 ]
              ~trans:[| Array.make k 0 |])
       in
-      same_dfa (X.force (Sws_pl.explore s1)) (Afa.reverse_vector_dfa a1)
-      && same_dfa (X.force (Sws_pl.explore s2)) (Afa.reverse_vector_dfa a2)
+      Oracle.same_dfa (X.force (Sws_pl.explore s1)) (Afa.reverse_vector_dfa a1)
+      && Oracle.same_dfa (X.force (Sws_pl.explore s2)) (Afa.reverse_vector_dfa a2)
       && X.shortest_word (Sws_pl.explore s1) = X.shortest_word (Afa.explore a1)
       && X.distinguishing_word (Sws_pl.explore s1) all_words
          = X.distinguishing_word (Afa.explore a1) all_words
