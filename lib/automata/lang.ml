@@ -38,7 +38,7 @@ exception Found of int list
    first, each tagged with the BFS level that produced it. *)
 type cell = { mutable kept : (Iset.t * int) list }
 
-let antichain_contains_cex ~on_level ~on_pair ~sup ~sub () =
+let antichain_contains_cex ~on_pair ~sup ~sub () =
   let k = Nfa.alphabet_size sub in
   let kept_pairs = ref 0 in
   let run_peak = ref 0 in
@@ -86,16 +86,11 @@ let antichain_contains_cex ~on_level ~on_pair ~sup ~sub () =
     let sub_start = Nfa.eps_closure sub (Nfa.start_set sub) in
     let sup_start = Nfa.eps_closure sup (Nfa.start_set sup) in
     Iset.iter (fun p -> insert p sup_start [] 0) sub_start;
-    let current = ref (-1) in
     while not (Queue.is_empty queue) do
       let p, s, rev_word, level = Queue.pop queue in
       (* Retro-dropped while queued: its counterexamples are covered by
          the same-level pair that dropped it. *)
       if live p s then begin
-        if level <> !current then begin
-          current := level;
-          on_level (level + 1)
-        end;
         on_pair ();
         Atomic.incr states_total;
         for a = 0 to k - 1 do
@@ -114,19 +109,18 @@ let check_alphabets a b =
   if Nfa.alphabet_size a <> Nfa.alphabet_size b then
     invalid_arg "Lang: alphabet size mismatch"
 
-let contains_cex ?(on_level = ignore) ?(on_pair = ignore) sup sub =
+let contains_cex_hooked ~on_pair sup sub =
   check_alphabets sup sub;
   Obs.Trace.span "lang.contains" @@ fun () ->
-  antichain_contains_cex ~on_level ~on_pair ~sup ~sub ()
+  antichain_contains_cex ~on_pair ~sup ~sub ()
 
-let contains ?on_level ?on_pair sup sub =
-  Option.is_none (contains_cex ?on_level ?on_pair sup sub)
+let contains_cex sup sub = contains_cex_hooked ~on_pair:ignore sup sub
+let contains sup sub = Option.is_none (contains_cex sup sub)
 
-let equivalent_cex ?on_level ?on_pair n1 n2 =
+let equivalent_cex ?(on_pair = ignore) n1 n2 =
   Obs.Trace.span "lang.equivalent" @@ fun () ->
-  match contains_cex ?on_level ?on_pair n2 n1 with
+  match contains_cex_hooked ~on_pair n2 n1 with
   | Some w -> Some w
-  | None -> contains_cex ?on_level ?on_pair n1 n2
+  | None -> contains_cex_hooked ~on_pair n1 n2
 
-let equivalent ?on_level ?on_pair n1 n2 =
-  Option.is_none (equivalent_cex ?on_level ?on_pair n1 n2)
+let equivalent n1 n2 = Option.is_none (equivalent_cex n1 n2)

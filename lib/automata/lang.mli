@@ -17,51 +17,35 @@
     containment and regular rewriting.  The SWS(PL, PL) decisions do not
     use it: they explore each service's vector DFA on demand and search
     its state pairs ({!Dfa.Explorer.distinguishing_word}).  The two
-    searches share one hook idiom (below).  Full determinization and the DFA
-    product ({!Dfa.of_nfa}, {!Dfa.diff}) are its test oracle, not an
-    alternative to it.  Exploration is sequential and deterministic:
+    searches share one hook idiom ({!equivalent_cex}).  Full
+    determinization and the DFA product ({!Dfa.of_nfa}, {!Dfa.diff}) are
+    its test oracle, not an alternative to it.  Exploration is sequential and deterministic:
     verdicts and witness words are identical at every domain-pool size. *)
-
-(** {1 Metering}
-
-    Every function below takes the hooks of
-    {!Dfa.Explorer.distinguishing_word}, with the same meaning:
-    [on_level depth] runs before the first pair reached by words of
-    length [depth - 1] is expanded, [on_pair] once per expanded pair.
-    The engine has no budget of its own; a caller meters the search
-    through the hooks and stops it by raising, and the exception
-    propagates.  A stopped search returns nothing, so it is never
-    mistaken for a verdict. *)
 
 (** [contains_cex sup sub] decides [L(sub) <= L(sup)]: [None] when
     contained, [Some w] with [w] a shortest word of [L(sub) \ L(sup)]
     otherwise.  Raises [Invalid_argument] when the alphabets differ. *)
-val contains_cex :
-  ?on_level:(int -> unit) ->
-  ?on_pair:(unit -> unit) ->
-  Nfa.t ->
-  Nfa.t ->
-  int list option
+val contains_cex : Nfa.t -> Nfa.t -> int list option
 
-val contains :
-  ?on_level:(int -> unit) -> ?on_pair:(unit -> unit) -> Nfa.t -> Nfa.t -> bool
+val contains : Nfa.t -> Nfa.t -> bool
 
 (** [equivalent_cex n1 n2]: [None] when the languages coincide, [Some w]
     with [w] accepted by exactly one of the two otherwise.  Containment
     is checked [L(n1) <= L(n2)] first, then the converse, so the witness
     is a shortest word of the first non-empty difference, not
     necessarily a shortest distinguishing word
-    ({!Dfa.distinguishing_word} finds one of those on DFAs).  Both
-    containment searches run under the same hooks. *)
-val equivalent_cex :
-  ?on_level:(int -> unit) ->
-  ?on_pair:(unit -> unit) ->
-  Nfa.t ->
-  Nfa.t ->
-  int list option
+    ({!Dfa.distinguishing_word} finds one of those on DFAs).
 
-val equivalent :
-  ?on_level:(int -> unit) -> ?on_pair:(unit -> unit) -> Nfa.t -> Nfa.t -> bool
+    [on_pair] runs once per expanded pair of either containment search,
+    with the meaning it has in {!Dfa.Explorer.distinguishing_word}: the
+    engine has no budget of its own, so a caller meters the search
+    through the hook and stops it by raising, and the exception
+    propagates.  A stopped search returns nothing, so it is never
+    mistaken for a verdict. *)
+val equivalent_cex :
+  ?on_pair:(unit -> unit) -> Nfa.t -> Nfa.t -> int list option
+
+val equivalent : Nfa.t -> Nfa.t -> bool
 
 (** {1 Process-wide gauges}  Read at snapshot time by [Engine.Stats] and
     the server's telemetry registry, like the interner and bit-set

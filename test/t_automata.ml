@@ -268,6 +268,26 @@ let prop_lang_agrees_random_nfa =
       && Bool.equal (Lang.equivalent n1 n2) (Oracle.Eager.nfa_equivalent n1 n2)
       && Bool.equal (Nfa.is_empty n1) (Dfa.is_empty (Dfa.of_nfa n1)))
 
+(* The non-emptiness witness on an NFA is the shortest word of its
+   subset DFA: the NFA accepts it, and no shorter word over the two
+   letters is accepted (a shortest accepting path visits each of the at
+   most five states once, so those words are few). *)
+let prop_nfa_witness_shortest =
+  QCheck.Test.make ~count:300 ~name:"nfa witness: shortest accepted word"
+    (QCheck.make raw_nfa_gen) (fun raw ->
+      let nfa = build_nfa raw in
+      let rec words n =
+        if n = 0 then [ [] ]
+        else List.concat_map (fun w -> [ 0 :: w; 1 :: w ]) (words (n - 1))
+      in
+      match Dfa.shortest_word (Dfa.of_nfa nfa) with
+      | None -> Nfa.is_empty nfa
+      | Some w ->
+        Nfa.accepts nfa w
+        && List.for_all
+             (fun n -> not (List.exists (Nfa.accepts nfa) (words n)))
+             (List.init (List.length w) Fun.id))
+
 (* Counterexample validity and minimality: a containment witness lies in
    L(sub) \ L(sup) and has the length of the eager engine's shortest
    witness; an equivalence witness is accepted by exactly one side. *)
@@ -322,10 +342,8 @@ let prop_distinguishing_word_shortest =
 
 (* Metering by hooks: an [on_pair] that raises after [max_states] pairs
    stops the search with its own exception, never with a verdict, and
-   whenever the hooked run does answer, the answer is the unhooked one.
-   [on_level] counts the levels: a containment witness is found while
-   the level below its length is expanded, so the last depth announced
-   is the witness's length. *)
+   whenever the hooked run does answer, the answer (witness included) is
+   the unhooked one. *)
 let prop_lang_budget_sound =
   QCheck.Test.make ~count:200 ~name:"lang budget trips are never verdicts"
     (QCheck.make (QCheck.Gen.pair regex_pair_gen (QCheck.Gen.int_range 1 4)))
@@ -337,21 +355,9 @@ let prop_lang_budget_sound =
         if !pairs >= max_states then raise Stop;
         incr pairs
       in
-      let stopped_or_same =
-        match Lang.equivalent ~on_pair n1 n2 with
-        | exception Stop -> !pairs = max_states
-        | v -> Bool.equal v (Lang.equivalent n1 n2)
-      in
-      let levels = ref [] in
-      let on_level d = levels := d :: !levels in
-      let levels_ok =
-        match Lang.contains_cex ~on_level n1 n2 with
-        | Some w ->
-          List.rev !levels = List.init (List.length w) (fun i -> i + 1)
-        | None ->
-          List.rev !levels = List.init (List.length !levels) (fun i -> i + 1)
-      in
-      stopped_or_same && levels_ok)
+      match Lang.equivalent_cex ~on_pair n1 n2 with
+      | exception Stop -> !pairs = max_states
+      | v -> v = Lang.equivalent_cex n1 n2)
 
 let test_lang_kchain_16 () =
   let n = kth_from_end_nfa 16 in
@@ -410,6 +416,7 @@ let suite =
     Alcotest.test_case "afa emptiness witness" `Quick test_afa_emptiness_witness;
     QCheck_alcotest.to_alcotest prop_lang_agrees_regex;
     QCheck_alcotest.to_alcotest prop_lang_agrees_random_nfa;
+    QCheck_alcotest.to_alcotest prop_nfa_witness_shortest;
     QCheck_alcotest.to_alcotest prop_lang_cex_valid;
     QCheck_alcotest.to_alcotest prop_distinguishing_word_shortest;
     QCheck_alcotest.to_alcotest prop_lang_budget_sound;

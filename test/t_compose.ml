@@ -221,6 +221,51 @@ let test_mdtb_deadline_passed () =
   | Compose.Found _ -> ()
   | Compose.No_mediator_within_bound _ -> Alcotest.fail "expected a boolean plan"
 
+(* A deadline that runs out inside the exact check stops the check, not
+   just the plan loop.  The goal is a*b spelled as the union of a-cycles of
+   lengths 2, 3, 5, 7, 11 and 13, each leaving on b: after a^n the goal's
+   state set holds one state per cycle, so the sets on the 30,030 words
+   a^0 .. a^30029 are pairwise incomparable and the antichain check of the
+   first plan (the view a*b itself, which is the mediator) keeps them all.
+   Unhooked, that check runs for seconds and finds the plan; the deadline's
+   hook stops it after the plan was ticked, so the trip counts one node. *)
+let test_mdtb_deadline_in_check () =
+  let primes = [ 2; 3; 5; 7; 11; 13 ] in
+  let num_states = 1 + List.fold_left ( + ) 0 primes in
+  let final = num_states - 1 in
+  let bases =
+    List.rev
+      (snd (List.fold_left (fun (b, acc) p -> (b + p, b :: acc)) (0, []) primes))
+  in
+  let edges =
+    List.concat
+      (List.map2
+         (fun p base ->
+           List.concat
+             (List.init p (fun j ->
+                  [
+                    (base + j, 0, base + ((j + 1) mod p));
+                    (base + j, 1, final);
+                  ])))
+         primes bases)
+  in
+  let goal =
+    Nfa.create ~num_states ~alphabet_size:2 ~starts:bases ~finals:[ final ]
+      ~edges ~eps_edges:[]
+  in
+  Engine.set_caching false;
+  Fun.protect ~finally:(fun () -> Engine.set_caching true) @@ fun () ->
+  match
+    Compose.compose_mdtb ~goal
+      ~components:[ ("v", nfa "a*b") ]
+      ~budget:(Engine.Budget.make ~max_depth:1 ~deadline_s:0.2 ())
+      ()
+  with
+  | Compose.No_mediator_within_bound e ->
+    check "limit Deadline" true (e.Engine.limit = `Deadline);
+    Alcotest.(check int) "first plan ticked" 1 e.Engine.nodes_expanded
+  | Compose.Found _ -> Alcotest.fail "the deadline did not stop the check"
+
 (* [compose_mdtb]'s candidate plans, in its order: chains of length <=
    [bound], then each boolean combination of two chains. *)
 let mdtb_candidates ~bound names =
@@ -552,6 +597,8 @@ let suite =
     Alcotest.test_case "compose mdtb" `Quick test_compose_mdtb;
     Alcotest.test_case "mdtb with a spent deadline trips Deadline" `Quick
       test_mdtb_deadline_passed;
+    Alcotest.test_case "mdtb deadline stops the exact check" `Quick
+      test_mdtb_deadline_in_check;
     Alcotest.test_case "compose cq" `Quick test_compose_cq;
     Alcotest.test_case "compose cq impossible" `Quick test_compose_cq_impossible;
     Alcotest.test_case "bounded search" `Quick test_bounded_search;

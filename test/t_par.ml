@@ -2,11 +2,11 @@
    paths wired through it.  The sequential run is the reference semantics:
    every property forces --jobs 1 and --jobs 4 explicitly and demands
    identical answers — identical DFAs from determinization (sequential at
-   every job count), identical non-emptiness witnesses, identical
-   substitution lists from the indexed join, and identical outcomes
-   (budget trips included) from the candidate scans, which run
-   sequentially at every job count.  A separate stress test hammers the
-   interner and the scan-array cache from eight raw domains. *)
+   every job count), identical substitution lists from the indexed join,
+   and identical outcomes (budget trips included) from the candidate
+   scans and the mdtb search, which run sequentially at every job count.
+   A separate stress test hammers the interner and the scan-array cache
+   from eight raw domains. *)
 
 module R = Relational
 module Nfa = Automata.Nfa
@@ -121,34 +121,6 @@ let test_dfa_exponential_family () =
         true
         (Dfa.num_states d1 = 1 lsl k))
     [ 4; 6; 8 ]
-
-(* The non-emptiness witness on an NFA is the shortest word of its
-   subset DFA: the same at every job count, accepted by the NFA, and no
-   word shorter than it is.  A shortest accepting path visits each of the
-   at most seven states once, so the words shorter than a witness are few
-   enough to enumerate. *)
-let prop_nfa_witness_jobs_agree =
-  QCheck.Test.make ~count:120
-    ~name:"nfa witness: jobs 4 finds the jobs-1 shortest accepted word"
-    (QCheck.make gen_raw_nfa)
-    (fun raw ->
-      let nfa = build_nfa raw in
-      let witness () = Dfa.shortest_word (Dfa.of_nfa nfa) in
-      let w1 = with_jobs 1 witness in
-      let rec words n =
-        if n = 0 then [ [] ]
-        else List.concat_map (fun w -> [ 0 :: w; 1 :: w ]) (words (n - 1))
-      in
-      let none_shorter len =
-        List.for_all
-          (fun n -> not (List.exists (Nfa.accepts nfa) (words n)))
-          (List.init len Fun.id)
-      in
-      w1 = with_jobs 4 witness
-      &&
-      match w1 with
-      | None -> Nfa.is_empty nfa
-      | Some w -> Nfa.accepts nfa w && none_shorter (List.length w))
 
 (* ------------------------------------------------------------------ *)
 (* Indexed joins: identical relations, oracle answers                   *)
@@ -449,14 +421,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dfa_jobs_agree;
     Alcotest.test_case "exponential determinization family" `Quick
       test_dfa_exponential_family;
-    QCheck_alcotest.to_alcotest prop_nfa_witness_jobs_agree;
+    Alcotest.test_case "compose_mdtb agrees across job counts" `Quick
+      test_compose_mdtb_agrees;
     QCheck_alcotest.to_alcotest prop_cq_jobs_agree;
     Alcotest.test_case "candidate scans agree across job counts" `Quick
       test_candidate_scans_agree;
     Alcotest.test_case "scan outcomes agree, Exhausted is sound" `Quick
       test_scan_outcomes_agree;
-    Alcotest.test_case "compose_mdtb agrees across job counts" `Quick
-      test_compose_mdtb_agrees;
     Alcotest.test_case "8-domain interning stress" `Quick
       test_interning_stress;
     Alcotest.test_case "8-domain scan-array stress" `Quick
