@@ -20,11 +20,9 @@
                                                        writes BENCH_cache.json)
      dune exec bench/main.exe -- --json FILE           also write a
                                                        machine-readable report
-     dune exec bench/main.exe -- --jobs N              run on N domains,
-                                                       N >= 1 (the scaling
-                                                       section sweeps its
-                                                       data-parallel kernels
-                                                       over 1/2/4/8 itself)
+     dune exec bench/main.exe -- server --jobs N       size the in-process
+                                                       server's domain pool
+                                                       (N >= 1)
 
    With [--json FILE] every printed series also lands in a JSON report
    (schema below) carrying per-point medians, the engine counter deltas
@@ -58,10 +56,11 @@ let json_path =
   in
   find (Array.to_list Sys.argv)
 
-(* --jobs N: run the whole harness on N domains.  The parallel-scaling
-   section sweeps its own job counts per row and restores this setting
-   afterwards.  A missing, non-numeric or non-positive N exits 2 rather
-   than silently running at the default job count. *)
+(* --jobs N: the job count of the in-process server that [bench server]
+   (and the cache ablation's server segment) starts, which runs each
+   request on one pool domain; everything else computes sequentially
+   whatever the job count.  A missing, non-numeric or non-positive N
+   exits 2 rather than silently running at the default job count. *)
 let cli_jobs =
   let rec find = function
     | "--jobs" :: rest -> (
@@ -179,7 +178,7 @@ module Report = struct
     in
     Obj (base @ extra)
 
-  let to_json ~mode ~tracing ~histograms ~parallel =
+  let to_json ~mode ~tracing ~histograms =
     let open Obs.Json in
     let sections =
       List.rev_map
@@ -205,7 +204,6 @@ module Report = struct
         ("sections", List sections);
         ("tracing_overhead", tracing);
         ("histograms", histograms);
-        ("parallel_scaling", parallel);
       ]
 end
 
@@ -740,99 +738,6 @@ let representation_ablation () =
   row "process gauges: interner size %d values, bitset allocations %d"
     (R.Value.interner_size ())
     (Repr.Bitset.allocations ())
-
-(* ------------------------------------------------------------------ *)
-(* Parallel scaling: the domain-pool hot paths at 1 / 2 / 4 / 8 jobs    *)
-(* ------------------------------------------------------------------ *)
-
-(* Each workload is measured at every job count with speedup = t1/tj and
-   efficiency = speedup/j; jobs = 1 is the sequential reference path (and
-   produces bit-identical results, so the arms compute the same thing).
-   Speedups are bounded by the host's physical core count: on a
-   single-core container the extra domains time-slice and every arm reads
-   ~1x — the honest number, recorded as such in the report. *)
-let parallel_json = ref Obs.Json.Null
-
-let parallel_scaling () =
-  header "Parallel scaling: domain pool at 1 / 2 / 4 / 8 jobs";
-  row "host recommended_domain_count: %d (speedup is capped by physical cores)"
-    (Domain.recommended_domain_count ());
-  let job_counts = [ 1; 2; 4; 8 ] in
-  let collected = ref [] in
-  let scale name workload =
-    let readings =
-      List.map
-        (fun j ->
-          Par.Pool.set_jobs (Some j);
-          (j, measure workload))
-        job_counts
-    in
-    Par.Pool.set_jobs cli_jobs;
-    let t1 = match readings with (1, ms) :: _ -> ms | _ -> assert false in
-    let annotated =
-      List.map
-        (fun (j, ms) ->
-          let speedup = t1 /. ms in
-          (j, ms, speedup, speedup /. float_of_int j))
-        readings
-    in
-    collected := (name, annotated) :: !collected;
-    series name
-      (List.map
-         (fun (j, ms, speedup, eff) ->
-           ( Printf.sprintf "jobs = %d (speedup %.2fx, eff %.2f)" j speedup
-               eff,
-             ms ))
-         annotated)
-  in
-  (* indexed joins: bucket-partitioned outer relation *)
-  let join_n = if quick then 400 else 1600 in
-  let join_db = line_graph_db join_n in
-  let v = R.Term.var in
-  let join_q =
-    R.Cq.make
-      ~head:[ v "x0"; v "x4" ]
-      ~body:
-        (List.init 4 (fun i ->
-             R.Atom.make "e"
-               [ v (Printf.sprintf "x%d" i); v (Printf.sprintf "x%d" (i + 1)) ]))
-      ()
-  in
-  scale
-    (Printf.sprintf "indexed 4-chain join (%d-edge line graph)" join_n)
-    (fun () -> ignore (R.Cq.eval join_q join_db));
-  let open Obs.Json in
-  parallel_json :=
-    Obj
-      [
-        ("recommended_domain_count", Int (Domain.recommended_domain_count ()));
-        ( "note",
-          String
-            "speedup = t1/tj, efficiency = speedup/jobs; bounded by the \
-             host's physical cores — a single-core host time-slices the \
-             domains and reads ~1x on every arm" );
-        ( "series",
-          List
-            (List.rev_map
-               (fun (name, annotated) ->
-                 Obj
-                   [
-                     ("name", String name);
-                     ( "points",
-                       List
-                         (List.map
-                            (fun (j, ms, speedup, eff) ->
-                              Obj
-                                [
-                                  ("jobs", Int j);
-                                  ("median_ms", Float ms);
-                                  ("speedup", Float speedup);
-                                  ("efficiency", Float eff);
-                                ])
-                            annotated) );
-                   ])
-               !collected) );
-      ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md section 5)                                      *)
@@ -1997,7 +1902,6 @@ let () =
     figure1 ();
     engine_cache_ablation ();
     representation_ablation ();
-    parallel_scaling ();
     ablations ()
   end;
   tracing_overhead ();
@@ -2009,7 +1913,6 @@ let () =
       Report.to_json
         ~mode:(if quick then "quick" else "full")
         ~tracing:!tracing_json ~histograms:!histograms_json
-        ~parallel:!parallel_json
     in
     let oc = open_out path in
     Fun.protect

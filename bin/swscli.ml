@@ -38,28 +38,14 @@ let trace_flag =
            Chrome trace_event JSON — load it in chrome://tracing or \
            ui.perfetto.dev.")
 
-(* --jobs N: size of the domain pool for the parallel hot paths.  The
-   default comes from SWS_JOBS or Domain.recommended_domain_count; 1 runs
-   every procedure on the sequential reference path. *)
-let jobs_flag =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Run the data-parallel kernels (determinization, shortest \
-           words, indexed joins) on $(docv) domains.  Defaults to \\$SWS_JOBS \
-           or the machine's recommended domain count; 1 forces the \
-           sequential path.  Results are identical at every job count.")
-
 let cache_cap_flag =
   Arg.(
     value
     & opt (some int) None
     & info [ "cache-cap" ] ~docv:"N"
         ~doc:
-          "Cap every result-cache class (unfold, automata, decision, \
-           compose, ...) at $(docv) entries.  Defaults to the per-store \
+          "Cap every result-cache class (unfold, decision, compose, \
+           mediator, peer) at $(docv) entries.  Defaults to the per-store \
            caps.  Caching never changes results, only repeat latency.")
 
 let no_cache_flag =
@@ -91,8 +77,7 @@ let snapshot_flag =
            the persisted caches instead of recomputing.  Answers are \
            identical either way.")
 
-let with_obs ~stats ~trace ~jobs ~cache_cap:(cache_cap, no_cache) ~snapshot f =
-  Par.Pool.set_jobs jobs;
+let with_obs ~stats ~trace ~cache_cap:(cache_cap, no_cache) ~snapshot f =
   if no_cache then Engine.set_caching false;
   Option.iter (fun n -> Engine.cache_set_caps ~max_entries:n ()) cache_cap;
   (* Warm-start before the command runs; diagnostics go to stderr so the
@@ -173,8 +158,8 @@ let regex_arg name =
     & info [ name ] ~docv:"REGEX"
         ~doc:"Regular expression over letters a..z ('0' empty, '1' epsilon).")
 
-let check stats trace jobs cache_cap snapshot regex_s =
-  with_obs ~stats ~trace ~jobs ~cache_cap ~snapshot @@ fun () ->
+let check stats trace cache_cap snapshot regex_s =
+  with_obs ~stats ~trace ~cache_cap ~snapshot @@ fun () ->
   match Regex.parse regex_s with
   | exception Regex.Parse_error m ->
     Fmt.epr "parse error: %s@." m;
@@ -205,15 +190,15 @@ let check_cmd =
   let doc = "Decision problems for a Roman-model service given as a regex." in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const check $ stats_flag $ trace_flag $ jobs_flag $ cache_cap_flag
+      const check $ stats_flag $ trace_flag $ cache_cap_flag
       $ snapshot_flag $ regex_arg "regex")
 
 (* ------------------------------------------------------------------ *)
 (* equivalence                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let equivalence stats trace jobs cache_cap snapshot left right =
-  with_obs ~stats ~trace ~jobs ~cache_cap ~snapshot @@ fun () ->
+let equivalence stats trace cache_cap snapshot left right =
+  with_obs ~stats ~trace ~cache_cap ~snapshot @@ fun () ->
   match Regex.parse left, Regex.parse right with
   | exception Regex.Parse_error m ->
     Fmt.epr "parse error: %s@." m;
@@ -236,15 +221,15 @@ let equivalence_cmd =
   Cmd.v
     (Cmd.info "equivalence" ~doc)
     Term.(
-      const equivalence $ stats_flag $ trace_flag $ jobs_flag $ cache_cap_flag
+      const equivalence $ stats_flag $ trace_flag $ cache_cap_flag
       $ snapshot_flag $ regex_arg "left" $ regex_arg "right")
 
 (* ------------------------------------------------------------------ *)
 (* compose                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let compose stats trace jobs cache_cap snapshot goal views =
-  with_obs ~stats ~trace ~jobs ~cache_cap ~snapshot @@ fun () ->
+let compose stats trace cache_cap snapshot goal views =
+  with_obs ~stats ~trace ~cache_cap ~snapshot @@ fun () ->
   match Regex.parse goal, List.map Regex.parse views with
   | exception Regex.Parse_error m ->
     Fmt.epr "parse error: %s@." m;
@@ -289,7 +274,7 @@ let compose_cmd =
   Cmd.v
     (Cmd.info "compose" ~doc)
     Term.(
-      const compose $ stats_flag $ trace_flag $ jobs_flag $ cache_cap_flag
+      const compose $ stats_flag $ trace_flag $ cache_cap_flag
       $ snapshot_flag $ regex_arg "goal"
       $ Arg.(
           value & opt_all string []
@@ -299,8 +284,8 @@ let compose_cmd =
 (* kprefix                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let kprefix stats trace jobs cache_cap snapshot regex_s =
-  with_obs ~stats ~trace ~jobs ~cache_cap ~snapshot @@ fun () ->
+let kprefix stats trace cache_cap snapshot regex_s =
+  with_obs ~stats ~trace ~cache_cap ~snapshot @@ fun () ->
   match Regex.parse regex_s with
   | exception Regex.Parse_error m ->
     Fmt.epr "parse error: %s@." m;
@@ -317,15 +302,15 @@ let kprefix_cmd =
   let doc = "k-prefix recognizability of a regular language (Thm 5.1(4,5))." in
   Cmd.v (Cmd.info "kprefix" ~doc)
     Term.(
-      const kprefix $ stats_flag $ trace_flag $ jobs_flag $ cache_cap_flag
+      const kprefix $ stats_flag $ trace_flag $ cache_cap_flag
       $ snapshot_flag $ regex_arg "regex")
 
 (* ------------------------------------------------------------------ *)
 (* analyze: a service from a textual specification                      *)
 (* ------------------------------------------------------------------ *)
 
-let analyze stats trace jobs cache_cap snapshot file messages =
-  with_obs ~stats ~trace ~jobs ~cache_cap ~snapshot @@ fun () ->
+let analyze stats trace cache_cap snapshot file messages =
+  with_obs ~stats ~trace ~cache_cap ~snapshot @@ fun () ->
   match Sws_parser.parse_file file with
   | exception Sws_parser.Parse_error m ->
     Fmt.epr "parse error: %s@." m;
@@ -375,7 +360,7 @@ let analyze_cmd =
   let doc = "Analyze an SWS(PL, PL) textual specification (see Sws_parser)." in
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(
-      const analyze $ stats_flag $ trace_flag $ jobs_flag $ cache_cap_flag
+      const analyze $ stats_flag $ trace_flag $ cache_cap_flag
       $ snapshot_flag
       $ Arg.(
           required
@@ -390,8 +375,8 @@ let analyze_cmd =
 (* explain: run the decision procedures and report their provenance     *)
 (* ------------------------------------------------------------------ *)
 
-let explain stats trace jobs cache_cap snapshot json against regex_s =
-  with_obs ~stats ~trace ~jobs ~cache_cap ~snapshot @@ fun () ->
+let explain stats trace cache_cap snapshot json against regex_s =
+  with_obs ~stats ~trace ~cache_cap ~snapshot @@ fun () ->
   match Regex.parse regex_s, Option.map Regex.parse against with
   | exception Regex.Parse_error m ->
     Fmt.epr "parse error: %s@." m;
@@ -437,7 +422,7 @@ let explain_cmd =
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const explain $ stats_flag $ trace_flag $ jobs_flag $ cache_cap_flag
+      const explain $ stats_flag $ trace_flag $ cache_cap_flag
       $ snapshot_flag
       $ Arg.(
           value & flag

@@ -83,8 +83,8 @@ let cache_cap_flag =
     & opt (some int) None
     & info [ "cache-cap" ] ~docv:"N"
         ~doc:
-          "Cap every result-cache class (unfold, automata, decision, \
-           compose, server replies, ...) at $(docv) entries.  Defaults \
+          "Cap every result-cache class (unfold, decision, compose, \
+           mediator, peer, server_l1, server_l2) at $(docv) entries.  Defaults \
            to the per-store caps.  Caching never changes responses — \
            only how fast repeated work is answered.")
 

@@ -97,7 +97,8 @@ val to_nfa : t -> Nfa.t
     subsets only, numbered breadth-first.  {!Explorer} is the one subset
     search: a question that may stop early ({!Explorer.shortest_word},
     {!Explorer.distinguishing_word}) runs on an unforced explorer
-    instead.  Sequential: see [Par.Pool] for why. *)
+    instead.  Sequential at every job count: the one parallel grain is
+    the request ([Par.Pool]). *)
 val of_nfa : Nfa.t -> t
 
 val pp : t Fmt.t

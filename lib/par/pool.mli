@@ -1,81 +1,46 @@
-(** Fixed domain pool with deterministic fork/join combinators.
+(** Fixed domain pool for one-shot async tasks.
 
-    The pool is process-global and lazily started: no domain is spawned until
-    the first parallel call that actually needs one.  Worker domains are
-    reused across calls and shut down through an [at_exit] hook, so their
-    domain ids stay small and stable for the lifetime of the process — the
-    per-domain sharding in {!Shard}, [Engine.Stats] and [Obs.Trace] relies on
-    that.
+    One grain of parallelism: the request.  The composition server
+    ([lib/server]) runs each request's compute as one {!async} task, so
+    requests run on several domains, and everything inside a task runs
+    sequentially.  No kernel splits its own work across the pool:
+    determinization, shortest-word and pair searches, candidate scans and
+    the indexed CQ join all run on the calling domain at every job count
+    (EXPERIMENTS.md, "Parallel grains on 2 CPUs" and "One parallel
+    grain").
 
-    Every combinator here preserves sequential result order: chunks are
-    contiguous slices of the input and results are concatenated in slice
-    order, so the output is independent of how the OS schedules domains.
-    With an effective job count of 1 every combinator degrades to a plain
-    inline loop on the calling domain — no pool, no locks, no domains —
-    which is what makes [--jobs 1] bit-identical to the pre-pool code.
-
-    One kernel is data-parallel: [Cq]'s join fans its root branches out
-    through {!parallel_list_map}.  The subset construction is sequential
-    ([Dfa.Explorer], behind [Dfa.of_nfa] and every shortest-word and
-    pair search): a BFS level split read 1.04-1.18x at two jobs on two
-    cores, the server runs each request inside a pool task where the
-    split runs inline anyway, and a lazy search that stops at its first
-    witness has no level to split.  Candidate scans (MDT_b plans, UCQ
-    disjuncts, mediators) stay sequential too: on two cores, rounds of
-    candidates handed to the pool lost to the plain loop or gained at
-    most 0.05 ms a call (EXPERIMENTS.md).  The server's request hop is
-    {!async}. *)
-
-val default_jobs : unit -> int
-(** Job count used when {!set_jobs} has not been called: [SWS_JOBS] from the
-    environment if set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()].  Clamped to [1 .. 64]. *)
+    The pool is process-global and lazily started: no domain is spawned
+    until the first {!async} that needs one.  Worker domains are reused
+    across tasks and shut down through an [at_exit] hook, so their domain
+    ids stay small and stable for the lifetime of the process — the
+    per-domain sharding in {!Shard}, [Engine.Stats] and [Obs.Trace] relies
+    on that. *)
 
 val jobs : unit -> int
 (** The configured job count: the {!set_jobs} override if any, otherwise
-    {!default_jobs}. *)
+    [SWS_JOBS] from the environment if set to a positive integer,
+    otherwise [Domain.recommended_domain_count ()].  Clamped to
+    [1 .. 64]. *)
 
 val set_jobs : int option -> unit
-(** [set_jobs (Some n)] forces the job count (the [--jobs] CLI flag);
-    [set_jobs None] restores {!default_jobs}.  Clamped to [1 .. 64].  The
-    pool grows on demand but never shrinks; lowering the job count merely
+(** [set_jobs (Some n)] forces the job count (swsd's [--jobs] flag);
+    [set_jobs None] restores the default.  Clamped to [1 .. 64].  The pool
+    grows on demand but never shrinks; lowering the job count merely
     leaves the extra workers idle. *)
-
-val effective_jobs : unit -> int
-(** {!jobs}, except inside a pool task it is 1: nested parallel calls run
-    inline on the executing domain rather than re-entering the pool, which
-    keeps the fork/join discipline flat and deadlock-free. *)
-
-(** {2 One-shot async tasks}
-
-    The request-scheduling interface used by the composition server
-    ([lib/server]): connection threads are systhreads serialised by their
-    domain's runtime lock, so CPU-bound request work must hop to a pool
-    domain to actually run in parallel. *)
 
 type 'a promise
 
 val async : (unit -> 'a) -> 'a promise
 (** [async f] schedules [f] on the pool and returns immediately.  Safe to
-    call from any systhread or domain.  With an effective job count of 1
-    (sequential mode, or already inside a pool task) nothing is enqueued:
-    the returned promise runs [f] on the thread that {!await}s it, so
-    results and exceptions flow identically in both modes.  Pool tasks run
-    flagged in-task: parallel combinators reached from [f] execute inline
-    — the unit of parallelism is the task, and nesting stays flat. *)
+    call from any systhread or domain.  Connection threads are systhreads
+    serialised by their domain's runtime lock, so CPU-bound request work
+    must hop to a pool domain to actually run in parallel.  At a job count
+    of 1, or inside a pool task, nothing is enqueued: the returned promise
+    runs [f] on the thread that {!await}s it, so results and exceptions
+    flow identically in both modes, and a nested [async] can never wait
+    on a worker that is busy waiting for it. *)
 
 val await : 'a promise -> 'a
 (** Block until the task finishes; returns its value or re-raises its
     exception (with the original backtrace).  Each promise is one-shot
     with a single consumer: await it exactly once. *)
-
-val parallel_map : ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map f arr] is [Array.map f arr] computed across the pool in
-    contiguous chunks.  Result order is input order regardless of the job
-    count.  [f] must be safe to run on any domain (the elements handed to
-    each domain are disjoint, so per-element state is fine; shared state
-    needs its own synchronisation).  An exception raised by [f] is re-raised
-    on the calling domain after all chunks have finished. *)
-
-val parallel_list_map : ('a -> 'b) -> 'a list -> 'b list
-(** {!parallel_map} for lists (input order preserved). *)

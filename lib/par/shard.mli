@@ -17,7 +17,7 @@
     request or per database cost nothing once dropped.  Writers must be
     the owning domain only; readers folding while another domain writes
     see a consistent-enough view for monotonic counters (int loads are
-    atomic) but should fold at fork/join boundaries for exact totals. *)
+    atomic) but should fold once the writers are done for exact totals. *)
 
 type 'a t
 

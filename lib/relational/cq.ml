@@ -251,16 +251,11 @@ let remove_one_atom b atoms =
   in
   go atoms
 
-(* Minimum number of top-level join branches before the search forks onto
-   the domain pool.  Below this the fork/join overhead dwarfs the branch
-   work (typical test queries have a handful of matches); the bench join
-   series runs thousands of branches. *)
-let parallel_fanout_threshold = 16
-
 (* Greedy sideways-information-passing: always expand the atom with the most
    already-bound variables (breaking ties towards smaller relations), so joins
    stay selective, and answer each expansion with a hash-index probe instead
-   of a full relation scan. *)
+   of a full relation scan.  The search runs on the calling domain: the
+   request is the one parallel grain ([Par.Pool]). *)
 let eval_substs q db =
   let plan = List.map compile_atom q.body in
   let neqs = List.map (fun (a, b) -> (compile_term a, compile_term b)) q.neqs in
@@ -290,28 +285,7 @@ let eval_substs q db =
           acc
           (atom_matches_indexed db subst atom)
   in
-  (* Parallel mode forks the search at the root: the first picked atom's
-     matches (one per tuple of the outer relation, in scan — i.e. bucket —
-     order) each seed an independent branch, branches run across the pool,
-     and branch results are concatenated in branch order.  Since
-     [search s rest acc = search s rest [] @ acc], the reassembled list is
-     element-for-element the sequential one for any job count — which is
-     what keeps the join agreement-testable against [--jobs 1]. *)
-  let jobs = Par.Pool.effective_jobs () in
-  if jobs <= 1 then search Subst.empty plan []
-  else if not (neqs_hold Subst.empty neqs) then []
-  else
-    match pick Subst.empty plan with
-    | None -> if neqs_hold Subst.empty neqs then [ Subst.empty ] else []
-    | Some (atom0, rest) ->
-      let ms = atom_matches_indexed db Subst.empty atom0 in
-      if List.length ms < parallel_fanout_threshold then
-        List.fold_left (fun acc subst' -> search subst' rest acc) [] ms
-      else
-        let branches =
-          Par.Pool.parallel_list_map (fun subst' -> search subst' rest []) ms
-        in
-        List.fold_left (fun acc branch -> branch @ acc) [] branches
+  search Subst.empty plan []
 
 let eval q db =
   Obs.Trace.span "cq_eval" @@ fun () ->

@@ -1,16 +1,16 @@
-(* Agreement suites for the multicore kernel (lib/par) and the parallel
-   paths wired through it.  The sequential run is the reference semantics:
-   every property forces --jobs 1 and --jobs 4 explicitly and demands
-   identical answers — identical DFAs from determinization (sequential at
-   every job count), identical substitution lists from the indexed join,
-   and identical outcomes (budget trips included) from the candidate
-   scans and the mdtb search, which run sequentially at every job count.
-   A separate stress test hammers the interner and the scan-array cache
-   from eight raw domains. *)
+(* The multicore kernel (lib/par) and the answers it must not change.
+   One grain of parallelism is left, the request: [Par.Pool.async] runs a
+   whole computation on a worker domain, and everything inside it is
+   sequential.  The async tests pin the pool's contract (values,
+   exceptions, inline mode at one job, nested tasks inline); the indexed
+   join is checked against the nested-loop oracle; the candidate scans
+   and the mdtb search must give identical outcomes, budget trips
+   included, at jobs 1 and 4.  Stress tests hammer the interner and the
+   scan-array cache from eight raw domains, and dropped shard cells must
+   be reclaimed. *)
 
 module R = Relational
 module Nfa = Automata.Nfa
-module Dfa = Automata.Dfa
 open Sws
 
 let check = Alcotest.(check bool)
@@ -21,109 +21,70 @@ let with_jobs n f =
   Fun.protect ~finally:(fun () -> Par.Pool.set_jobs None) f
 
 (* ------------------------------------------------------------------ *)
-(* Combinators against their sequential specifications                  *)
+(* The request hop: Pool.async / Pool.await                             *)
 (* ------------------------------------------------------------------ *)
 
-let gen_ints = QCheck.Gen.(array_size (0 -- 60) (0 -- 1000))
-
-let prop_combinators_agree =
-  QCheck.Test.make ~count:100
-    ~name:"parallel combinators = sequential map at 4 jobs"
-    (QCheck.make gen_ints)
-    (fun arr ->
-      let f x = (x * 7) + 3 in
-      with_jobs 4 (fun () ->
-          Par.Pool.parallel_map f arr = Array.map f arr
-          && Par.Pool.parallel_list_map f (Array.to_list arr)
-             = List.map f (Array.to_list arr)))
-
-let test_combinator_edges () =
+(* Eight systhreads each submit 25 tasks at jobs 4 and await them in
+   order: every await returns its own task's value. *)
+let test_async_values () =
   with_jobs 4 (fun () ->
-      check "empty array" true (Par.Pool.parallel_map succ [||] = [||]);
-      check "singleton" true (Par.Pool.parallel_map succ [| 41 |] = [| 42 |]);
-      check "order preserved" true
-        (Par.Pool.parallel_list_map (fun x -> x) (List.init 100 Fun.id)
-        = List.init 100 Fun.id);
-      (* a task exception must surface in the caller, not hang the pool *)
-      check "exception propagates" true
-        (match
-           Par.Pool.parallel_list_map
-             (fun x -> if x = 13 then failwith "boom" else x)
-             (List.init 20 Fun.id)
-         with
-        | _ -> false
-        | exception Failure _ -> true);
-      (* the pool still works after a failed batch *)
-      check "pool survives the exception" true
-        (Par.Pool.parallel_list_map succ [ 1; 2; 3 ] = [ 2; 3; 4 ]);
-      (* nested calls run inline instead of deadlocking *)
-      check "nested parallel calls" true
-        (Par.Pool.parallel_list_map
-           (fun x ->
-             List.fold_left ( + ) 0
-               (Par.Pool.parallel_list_map (( * ) x) [ 1; 2; 3 ]))
-           [ 1; 2 ]
-        = [ 6; 12 ]))
+      let threads = 8 and per_thread = 25 in
+      let ok = Array.make threads false in
+      let submitter t =
+        let promises =
+          List.init per_thread (fun i ->
+              let v = (t * 1000) + i in
+              (v, Par.Pool.async (fun () -> v * v)))
+        in
+        ok.(t) <-
+          List.for_all (fun (v, p) -> Par.Pool.await p = v * v) promises
+      in
+      List.init threads (Thread.create submitter)
+      |> List.iter Thread.join;
+      check "each await returns its own value" true
+        (Array.for_all Fun.id ok))
+
+(* A task's exception is re-raised in the awaiter, and the pool keeps
+   serving promises afterwards. *)
+let test_async_exception () =
+  with_jobs 4 (fun () ->
+      let failing = Par.Pool.async (fun () -> failwith "boom") in
+      check "exception reaches the awaiter" true
+        (match Par.Pool.await failing with
+        | () -> false
+        | exception Failure m -> m = "boom");
+      check "the pool serves the next promise" true
+        (Par.Pool.await (Par.Pool.async (fun () -> 41 + 1)) = 42))
+
+(* At jobs 1 nothing is enqueued: the thunk runs when it is awaited. *)
+let test_async_inline_at_one_job () =
+  with_jobs 1 (fun () ->
+      let ran = ref false in
+      let p =
+        Par.Pool.async (fun () ->
+            ran := true;
+            7)
+      in
+      check "not run before await" false !ran;
+      check "await runs it" true (Par.Pool.await p = 7 && !ran))
+
+(* An async submitted from inside a task runs inline on the task's own
+   domain instead of waiting on a worker that may be busy with it. *)
+let test_nested_async_inline () =
+  with_jobs 4 (fun () ->
+      let outer, inner =
+        Par.Pool.await
+          (Par.Pool.async (fun () ->
+               let inner =
+                 Par.Pool.await (Par.Pool.async (fun () -> Domain.self ()))
+               in
+               (Domain.self (), inner)))
+      in
+      check "the task ran on a pool domain" true (outer <> Domain.self ());
+      check "the nested task ran on the same domain" true (inner = outer))
 
 (* ------------------------------------------------------------------ *)
-(* Determinization: identical DFAs at every job count                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Random NFAs: a state count plus raw edge data clamped by mod, so the
-   generator stays independent of the size draw. *)
-let gen_raw_nfa =
-  QCheck.Gen.(
-    quad (2 -- 7)
-      (list_size (0 -- 30) (triple (0 -- 100) (0 -- 1) (0 -- 100)))
-      (list_size (0 -- 5) (pair (0 -- 100) (0 -- 100)))
-      (list_size (1 -- 3) (0 -- 100)))
-
-let build_nfa (n, raw_edges, raw_eps, raw_finals) =
-  let clamp q = q mod n in
-  Nfa.create ~num_states:n ~alphabet_size:2 ~starts:[ 0 ]
-    ~finals:(List.map clamp raw_finals)
-    ~edges:(List.map (fun (q, a, q') -> (clamp q, a, clamp q')) raw_edges)
-    ~eps_edges:(List.map (fun (q, q') -> (clamp q, clamp q')) raw_eps)
-
-let prop_dfa_jobs_agree =
-  QCheck.Test.make ~count:120
-    ~name:"subset construction: jobs 4 builds the jobs-1 DFA bit for bit"
-    (QCheck.make gen_raw_nfa)
-    (fun raw ->
-      let nfa = build_nfa raw in
-      let d1 = with_jobs 1 (fun () -> Dfa.of_nfa nfa) in
-      let d4 = with_jobs 4 (fun () -> Dfa.of_nfa nfa) in
-      Oracle.same_dfa d1 d4)
-
-(* The exponential family from the benchmark: "k-th symbol from the end",
-   whose DFA needs 2^k states — the uncached determinization hot loop. *)
-let kth_from_end_nfa k =
-  let edges =
-    (0, 0, 0) :: (0, 1, 0) :: (0, 0, 1)
-    :: List.concat_map
-         (fun i -> [ (i, 0, i + 1); (i, 1, i + 1) ])
-         (List.init (k - 1) (fun i -> i + 1))
-  in
-  Nfa.create ~num_states:(k + 1) ~alphabet_size:2 ~starts:[ 0 ] ~finals:[ k ]
-    ~edges ~eps_edges:[]
-
-let test_dfa_exponential_family () =
-  List.iter
-    (fun k ->
-      let nfa = kth_from_end_nfa k in
-      let d1 = with_jobs 1 (fun () -> Dfa.of_nfa nfa) in
-      let d4 = with_jobs 4 (fun () -> Dfa.of_nfa nfa) in
-      check
-        (Printf.sprintf "k=%d DFAs identical" k)
-        true (Oracle.same_dfa d1 d4);
-      check
-        (Printf.sprintf "k=%d has 2^%d states" k k)
-        true
-        (Dfa.num_states d1 = 1 lsl k))
-    [ 4; 6; 8 ]
-
-(* ------------------------------------------------------------------ *)
-(* Indexed joins: identical relations, oracle answers                   *)
+(* Indexed joins: oracle answers                                       *)
 (* ------------------------------------------------------------------ *)
 
 let line_graph_db n =
@@ -145,29 +106,16 @@ let chain_q len =
              [ v (Printf.sprintf "x%d" i); v (Printf.sprintf "x%d" (i + 1)) ]))
     ()
 
-let subst_identical s1 s2 =
-  let l1 = R.Subst.to_list s1 and l2 = R.Subst.to_list s2 in
-  List.length l1 = List.length l2
-  && List.for_all2
-       (fun (x1, v1) (x2, v2) -> x1 = x2 && R.Value.equal v1 v2)
-       l1 l2
-
-(* The outer relations must clear Cq's parallel fan-out threshold (16
-   tuples), otherwise the parallel path is never taken. *)
-let prop_cq_jobs_agree =
-  QCheck.Test.make ~count:40
-    ~name:"cq joins: jobs 4 = jobs 1 substitution lists, oracle answers"
+(* Line graphs of 20-80 edges: the sequential join, on root relations
+   larger than the 16-branch fan-out it replaced, against the nested-loop
+   oracle. *)
+let prop_cq_eval_oracle =
+  QCheck.Test.make ~count:40 ~name:"cq joins = nested-loop oracle"
     (QCheck.make QCheck.Gen.(pair (20 -- 80) (1 -- 4)))
     (fun (n, len) ->
       let db = line_graph_db n in
       let q = chain_q len in
-      let seq = with_jobs 1 (fun () -> R.Cq.eval_substs q db) in
-      let par = with_jobs 4 (fun () -> R.Cq.eval_substs q db) in
-      let expected = Oracle.cq_eval q db in
-      List.length seq = List.length par
-      && List.for_all2 subst_identical seq par
-      && R.Relation.equal (with_jobs 1 (fun () -> R.Cq.eval q db)) expected
-      && R.Relation.equal (with_jobs 4 (fun () -> R.Cq.eval q db)) expected)
+      R.Relation.equal (R.Cq.eval q db) (Oracle.cq_eval q db))
 
 (* ------------------------------------------------------------------ *)
 (* Candidate scans: identical outcomes and budget trips at every job     *)
@@ -416,14 +364,17 @@ let test_shard_cells_reclaimed () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_combinators_agree;
-    Alcotest.test_case "combinator edge cases" `Quick test_combinator_edges;
-    QCheck_alcotest.to_alcotest prop_dfa_jobs_agree;
-    Alcotest.test_case "exponential determinization family" `Quick
-      test_dfa_exponential_family;
+    Alcotest.test_case "async: each await gets its own value" `Quick
+      test_async_values;
+    Alcotest.test_case "async: task exception reaches awaiter" `Quick
+      test_async_exception;
+    Alcotest.test_case "async at one job runs at await" `Quick
+      test_async_inline_at_one_job;
+    Alcotest.test_case "nested async runs inline" `Quick
+      test_nested_async_inline;
     Alcotest.test_case "compose_mdtb agrees across job counts" `Quick
       test_compose_mdtb_agrees;
-    QCheck_alcotest.to_alcotest prop_cq_jobs_agree;
+    QCheck_alcotest.to_alcotest prop_cq_eval_oracle;
     Alcotest.test_case "candidate scans agree across job counts" `Quick
       test_candidate_scans_agree;
     Alcotest.test_case "scan outcomes agree, Exhausted is sound" `Quick
